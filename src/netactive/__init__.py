@@ -16,12 +16,8 @@ from .acquisition import (
 )
 from .bayesian import (
     Committee,
-    PredictiveDistribution,
-    committee_disagreement,
     committee_train,
-    estimate_aleatoric,
     mc_predict,
-    mc_predict_batch,
 )
 from .dataset import (
     DataPool,
@@ -38,11 +34,9 @@ from .loop import (
     LoopConfig,
     OracleError,
     PoolOracle,
-    StreamDecision,
     StreamPolicy,
     SynthesisPolicy,
     TwinOracle,
-    evaluate_rmse,
     run_pool_loop,
     run_stream_loop,
     run_synthesis_loop,
@@ -55,7 +49,6 @@ from .neural import (
     adam_step,
     backward,
     forward,
-    forward_with_cache,
     init_params,
     load_params,
     predict,

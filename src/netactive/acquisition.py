@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 STRATEGIES = ("random", "uncertainty", "qbc", "coreset", "hybrid")
 
-_DIST_BLOCK = 64  # labeled points per vectorized distance block
+# Cap on the elements of the (n, block, F) difference temporary in
+# _min_distances; about 8 MB of float64 whatever the candidate count.
+_DIST_BLOCK_ELEMENTS = 2**20
 
 
 class BudgetError(RuntimeError):
@@ -89,102 +91,100 @@ class CollectPolicy:
 class AcquisitionInputs:
     """Snapshot of model and pool state a strategy needs to score candidates.
 
-    Feature vectors are in normalized space.  Score maps cover exactly the
-    current unlabeled candidates; which ones must be present depends on the
-    strategy (epistemic_std for uncertainty/hybrid, committee_var for qbc).
+    Row i of every per-candidate array belongs to candidate_ids[i], and the
+    ids ascend.  Feature vectors are in normalized space.  Which score array
+    must be present depends on the strategy (epistemic_std for
+    uncertainty/hybrid, committee_var for qbc).
     """
 
-    candidate_features: dict[int, np.ndarray]
+    candidate_ids: np.ndarray  # (n,) ints, ascending
+    candidate_features: np.ndarray  # (n, F)
     labeled_features: np.ndarray
-    epistemic_std: Mapping[int, float] | None = None
-    committee_var: Mapping[int, float] | None = None
+    epistemic_std: np.ndarray | None = None  # (n,)
+    committee_var: np.ndarray | None = None  # (n,)
     select_seed: int = 0
     hybrid_beta: float = 0.5
 
+    def __post_init__(self):
+        n = len(self.candidate_ids)
+        for name in ("epistemic_std", "committee_var"):
+            scores = getattr(self, name)
+            if scores is not None and np.shape(scores) != (n,):
+                raise ValueError(f"{name} has shape {np.shape(scores)}, expected ({n},)")
 
-def rank_uncertainty(scores: Mapping[int, float]) -> list[int]:
-    """Candidate ids sorted by score descending, ties broken by ascending id."""
-    if not scores:
+
+def rank_uncertainty(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Ids sorted by score descending, ties broken by ascending id."""
+    if not len(ids):
         raise ValueError("scores must be non-empty")
-    for i, s in scores.items():
-        if not math.isfinite(s):
-            raise ValueError(f"non-finite score {s!r} for id {i}")
-    return sorted(scores, key=lambda i: (-scores[i], i))
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise ValueError(f"non-finite scores for ids {ids[~finite][:5].tolist()}")
+    return ids[np.lexsort((ids, -scores))]
 
 
 def _min_distances(points: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to its nearest reference (inf if none)."""
-    n = points.shape[0]
+    n, dim = points.shape
+    references = np.asarray(references, dtype=float)
+    block = max(1, _DIST_BLOCK_ELEMENTS // max(1, n * dim))
     best = np.full(n, np.inf)
-    for start in range(0, references.shape[0], _DIST_BLOCK):
-        block = references[start : start + _DIST_BLOCK]
-        d = np.sqrt(((points[:, None, :] - block[None, :, :]) ** 2).sum(axis=-1))
+    for start in range(0, len(references), block):
+        refs = references[start : start + block]
+        d = np.sqrt(((points[:, None, :] - refs[None, :, :]) ** 2).sum(axis=-1))
         best = np.minimum(best, d.min(axis=1))
     return best
 
 
 def select_core_set(
     labeled_features: np.ndarray,
-    candidate_features: Mapping[int, np.ndarray],
+    candidate_ids: np.ndarray,
+    candidate_features: np.ndarray,
     k: int,
 ) -> list[int]:
     """Greedy k-center selection for diversity.
 
     Repeats k times: pick the candidate whose distance to the nearest point
     in (labeled set plus already-selected candidates) is largest, ties by
-    ascending id.  Returns ids in selection order.
+    ascending id.  Candidate ids must ascend.  Returns ids in selection
+    order.
     """
-    if not candidate_features:
+    n = len(candidate_ids)
+    if not n:
         raise ValueError("no candidates to select from")
-    if not (1 <= k <= len(candidate_features)):
-        raise ValueError(f"k={k} must lie in [1, {len(candidate_features)}]")
-    ids = sorted(candidate_features)
-    points = np.stack([np.asarray(candidate_features[i], dtype=float) for i in ids])
-    labeled = np.asarray(labeled_features, dtype=float)
-    if labeled.size:
-        min_d = _min_distances(points, labeled.reshape(len(labeled), -1))
-    else:
-        min_d = np.full(len(ids), np.inf)
+    if not (1 <= k <= n):
+        raise ValueError(f"k={k} must lie in [1, {n}]")
+    points = np.asarray(candidate_features, dtype=float)
+    min_d = _min_distances(points, labeled_features)
     chosen: list[int] = []
     for _ in range(k):
         pick = int(np.argmax(min_d))  # argmax takes the first (lowest-id) maximum
-        chosen.append(ids[pick])
+        chosen.append(int(candidate_ids[pick]))
         d_new = np.sqrt(((points - points[pick]) ** 2).sum(axis=1))
         min_d = np.minimum(min_d, d_new)
         min_d[pick] = -np.inf
     return chosen
 
 
-def hybrid_score(uncertainty: float, diversity: float, beta: float) -> float:
-    """Geometric blend uncertainty^beta * diversity^(1-beta).
+def hybrid_score(uncertainty: np.ndarray, diversity: np.ndarray, beta: float) -> np.ndarray:
+    """Geometric blend uncertainty^beta * diversity^(1-beta), elementwise.
 
     beta=1 recovers pure uncertainty ranking and beta=0 pure diversity
     ranking (up to ties)."""
-    if uncertainty < 0.0 or diversity < 0.0:
+    if np.any(uncertainty < 0.0) or np.any(diversity < 0.0):
         raise ValueError("inputs must be non-negative")
     if not (0.0 <= beta <= 1.0):
         raise ValueError("beta must lie in [0, 1]")
-    return float(uncertainty**beta * diversity ** (1.0 - beta))
+    return uncertainty**beta * diversity ** (1.0 - beta)
 
 
 def random_select(candidate_ids: Sequence[int], k: int, rng_seed: int) -> list[int]:
     """Uniform sample of k ids without replacement, deterministic per seed."""
-    ids = sorted(candidate_ids)
+    ids = np.sort(np.asarray(candidate_ids, dtype=int))
     if k > len(ids):
         raise ValueError(f"k={k} exceeds candidate count {len(ids)}")
     order = np.random.default_rng(rng_seed).permutation(len(ids))
-    return [ids[i] for i in order[:k]]
-
-
-def _require_scores(
-    scores: Mapping[int, float] | None, candidates: Mapping[int, np.ndarray], what: str
-) -> dict[int, float]:
-    if scores is None:
-        raise ValueError(f"strategy requires {what} scores")
-    missing = [i for i in candidates if i not in scores]
-    if missing:
-        raise ValueError(f"{what} scores missing for ids {missing[:5]}")
-    return {i: float(scores[i]) for i in candidates}
+    return ids[order[:k]].tolist()
 
 
 def decide_acquisition(
@@ -208,7 +208,8 @@ def decide_acquisition(
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if not inputs.candidate_features:
+    ids = inputs.candidate_ids
+    if not len(ids):
         raise ValueError("no unlabeled candidates")
     collect_policy = collect_policy or CollectPolicy()
 
@@ -216,35 +217,27 @@ def decide_acquisition(
         by_budget = batch_size
     else:
         by_budget = int(math.floor(budget.remaining / budget.annotation_cost + 1e-9))
-    affordable = min(batch_size, by_budget, len(inputs.candidate_features))
+    affordable = min(batch_size, by_budget, len(ids))
     if affordable < 1:
         raise BudgetExhausted(
             f"remaining budget {budget.remaining} cannot cover one annotation"
         )
 
     if strategy == "random":
-        chosen = random_select(list(inputs.candidate_features), affordable, inputs.select_seed)
-    elif strategy == "uncertainty":
-        scores = _require_scores(inputs.epistemic_std, inputs.candidate_features, "epistemic")
-        chosen = rank_uncertainty(scores)[:affordable]
-    elif strategy == "qbc":
-        scores = _require_scores(inputs.committee_var, inputs.candidate_features, "committee")
-        chosen = rank_uncertainty(scores)[:affordable]
+        chosen = random_select(ids, affordable, inputs.select_seed)
     elif strategy == "coreset":
-        chosen = select_core_set(inputs.labeled_features, inputs.candidate_features, affordable)
-    else:  # hybrid
-        unc = _require_scores(inputs.epistemic_std, inputs.candidate_features, "epistemic")
-        ids = sorted(inputs.candidate_features)
-        points = np.stack([inputs.candidate_features[i] for i in ids])
-        labeled = np.asarray(inputs.labeled_features, dtype=float)
-        if labeled.size:
-            dists = _min_distances(points, labeled.reshape(len(labeled), -1))
-        else:
-            dists = np.ones(len(ids))
-        scores = {
-            i: hybrid_score(unc[i], float(d), inputs.hybrid_beta) for i, d in zip(ids, dists)
-        }
-        chosen = rank_uncertainty(scores)[:affordable]
+        chosen = select_core_set(inputs.labeled_features, ids, inputs.candidate_features, affordable)
+    else:
+        needed = "committee_var" if strategy == "qbc" else "epistemic_std"
+        scores = getattr(inputs, needed)
+        if scores is None:
+            raise ValueError(f"strategy {strategy!r} requires {needed} scores")
+        if strategy == "hybrid":
+            dists = _min_distances(inputs.candidate_features, inputs.labeled_features)
+            if not len(inputs.labeled_features):
+                dists = np.ones(len(ids))  # no labeled set: rank by uncertainty alone
+            scores = hybrid_score(scores, dists, inputs.hybrid_beta)
+        chosen = rank_uncertainty(ids, scores)[:affordable].tolist()
 
     annotate_cost = len(chosen) * budget.annotation_cost
     collect_count = 0
@@ -258,7 +251,7 @@ def decide_acquisition(
             collect_count = min(wanted, int(math.floor(slack / budget.collection_cost + 1e-9)))
         collect_count = max(collect_count, 0)
         if collect_count > 0:
-            batch_points = np.stack([inputs.candidate_features[i] for i in chosen])
+            batch_points = inputs.candidate_features[np.searchsorted(ids, chosen)]
             centroid = batch_points.mean(axis=0)
             radius = float(np.sqrt(((batch_points - centroid) ** 2).sum(axis=1)).max())
             region = CollectRegion(centroid=centroid, radius=radius)

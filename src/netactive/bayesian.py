@@ -1,5 +1,4 @@
-"""Predictive uncertainty: MC-dropout distributions, committee disagreement,
-aleatoric residual estimation."""
+"""Predictive uncertainty: MC-dropout epistemic variance and committee disagreement."""
 
 from __future__ import annotations
 
@@ -7,27 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import NetworkParams, NetworkSpec, TrainHyper, _act, init_params, predict, train
+from .neural import (
+    NetworkParams,
+    NetworkSpec,
+    TrainHyper,
+    _act,
+    draw_dropout_masks,
+    init_params,
+    predict,
+    train,
+)
 
-
-@dataclass
-class PredictiveDistribution:
-    """Throughput prediction with separated uncertainty components (Mbps^2)."""
-
-    mean: float
-    epistemic_var: float
-    aleatoric_var: float = 0.0
-    n_passes: int = 1
-
-    def __post_init__(self):
-        if self.epistemic_var < 0.0 or self.aleatoric_var < 0.0:
-            raise ValueError("variances must be non-negative")
-        if self.n_passes < 1:
-            raise ValueError("n_passes must be >= 1")
-
-    @property
-    def epistemic_std(self) -> float:
-        return float(np.sqrt(self.epistemic_var))
+MC_GROUP_ROWS = 256  # rows per stacked matrix product when scoring few rows
 
 
 @dataclass
@@ -43,92 +33,52 @@ class Committee:
         if any(m.spec.layer_sizes != spec.layer_sizes for m in self.members):
             raise ValueError("committee members must share one architecture")
 
-    def predictions(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic member predictions, shape (K, n) for a (n, F) input."""
-        return np.stack([predict(m, x) for m in self.members])
-
-
-def _pass_masks(spec: NetworkSpec, n_passes: int, rng_seed: int) -> list[np.ndarray]:
-    """One keep-mask row per stochastic pass for each hidden layer, (T, h)."""
-    rng = np.random.default_rng(rng_seed)
-    return [
-        (rng.random((n_passes, h)) < spec.keep_prob).astype(float)
-        for h in spec.hidden_sizes
-    ]
+    def disagreement(self, x: np.ndarray) -> np.ndarray:
+        """Unbiased variance of the deterministic member predictions per row
+        of a (n, F) input, shape (n,)."""
+        return np.stack([predict(m, x) for m in self.members]).var(axis=0, ddof=1)
 
 
 def mc_predict(
     params: NetworkParams, x: np.ndarray, n_passes: int, rng_seed: int
-) -> PredictiveDistribution:
-    """MC-dropout prediction for one feature vector.
-
-    Runs n_passes stochastic forwards with independent masks; the sample
-    mean and unbiased sample variance of the passes give the predictive
-    mean and epistemic variance.  With dropout disabled every pass is the
-    deterministic pass and the epistemic variance is exactly zero.
-    """
-    if n_passes < 1:
-        raise ValueError("n_passes must be >= 1")
-    spec = params.spec
-    x = np.asarray(x, dtype=float)
-    if spec.dropout_rate == 0.0 or not spec.hidden_sizes:
-        mean = predict(params, x[None, :])[0]
-        return PredictiveDistribution(mean=float(mean), epistemic_var=0.0, n_passes=n_passes)
-    masks = _pass_masks(spec, n_passes, rng_seed)
-    # Vectorize the passes as a batch: after the first hidden layer every
-    # pass owns one row, so a single matrix pipeline evaluates all of them.
-    a = _act(x @ params.weights[0].T + params.biases[0], spec.activation)
-    a = a[None, :] * masks[0] / spec.keep_prob  # (T, h1)
-    for layer in range(1, len(params.weights) - 1):
-        a = _act(a @ params.weights[layer].T + params.biases[layer], spec.activation)
-        a = a * masks[layer] / spec.keep_prob
-    outs = (a @ params.weights[-1].T + params.biases[-1])[:, 0]
-    epistemic = float(np.var(outs, ddof=1)) if n_passes > 1 else 0.0
-    return PredictiveDistribution(
-        mean=float(np.mean(outs)), epistemic_var=epistemic, n_passes=n_passes
-    )
-
-
-def mc_predict_batch(
-    params: NetworkParams, x: np.ndarray, n_passes: int, rng_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """MC-dropout means and epistemic variances for a (n, F) matrix.
 
-    Each pass draws one mask shared across all rows, so per-row results do
-    not depend on row order or on which other candidates are scored with
-    them, and they match mc_predict up to floating-point association.
+    Runs n_passes stochastic forwards with independent masks; the sample
+    mean and unbiased sample variance of the passes give the predictive
+    mean and epistemic variance of each row.  Each pass draws one mask
+    shared across all rows, so per-row results do not depend on row order
+    or on which other rows are scored with them.  With dropout disabled
+    every pass is the deterministic pass and the variance is exactly zero.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     spec = params.spec
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
-        raise ValueError("mc_predict_batch expects a 2-D feature matrix")
+        raise ValueError("mc_predict expects a 2-D feature matrix")
     if spec.dropout_rate == 0.0 or not spec.hidden_sizes:
         means = predict(params, x)
         return means, np.zeros_like(means)
-    masks = _pass_masks(spec, n_passes, rng_seed)
-    outs = np.empty((n_passes, x.shape[0]))
+    masks = draw_dropout_masks(spec, np.random.default_rng(rng_seed), n_passes)
+    n = x.shape[0]
+    # Passes run in groups stacked into one (group * n, h) matrix, so a
+    # single row evaluates many passes per matrix product while a large
+    # matrix runs one pass at a time.
+    group = max(1, MC_GROUP_ROWS // n)
     first = _act(x @ params.weights[0].T + params.biases[0], spec.activation)
-    for t in range(n_passes):
-        a = first * masks[0][t] / spec.keep_prob
+    outs = np.empty((n_passes, n))
+    for start in range(0, n_passes, group):
+        passes = slice(start, start + group)
+        a = first * masks[0][passes, None, :] / spec.keep_prob  # (group, n, h1)
         for layer in range(1, len(params.weights) - 1):
-            a = _act(a @ params.weights[layer].T + params.biases[layer], spec.activation)
-            a = a * masks[layer][t] / spec.keep_prob
-        outs[t] = (a @ params.weights[-1].T + params.biases[-1])[:, 0]
-    epistemic = outs.var(axis=0, ddof=1) if n_passes > 1 else np.zeros(x.shape[0])
+            z = a.reshape(-1, a.shape[-1]) @ params.weights[layer].T + params.biases[layer]
+            a = _act(z, spec.activation).reshape(len(a), n, -1)
+            a = a * masks[layer][passes, None, :] / spec.keep_prob
+        out = a.reshape(-1, a.shape[-1]) @ params.weights[-1].T + params.biases[-1]
+        outs[passes] = out.reshape(len(a), n)
+    epistemic = outs.var(axis=0, ddof=1) if n_passes > 1 else np.zeros(n)
     return outs.mean(axis=0), epistemic
-
-
-def estimate_aleatoric(params: NetworkParams, x_val: np.ndarray, y_val: np.ndarray) -> float:
-    """Irreducible-noise estimate: mean squared residual of deterministic
-    predictions on a held-out labeled fold."""
-    x_val = np.asarray(x_val, dtype=float)
-    y_val = np.asarray(y_val, dtype=float)
-    if x_val.ndim != 2 or x_val.shape[0] == 0:
-        raise ValueError("validation set must be non-empty")
-    residuals = predict(params, x_val) - y_val
-    return float(np.mean(residuals * residuals))
 
 
 def committee_train(
@@ -152,9 +102,3 @@ def committee_train(
                           rng_seed=seed, hyper=hyper)
         members.append(params)
     return Committee(members=members)
-
-
-def committee_disagreement(committee: Committee, x: np.ndarray) -> float:
-    """Unbiased variance of the deterministic member predictions at x."""
-    preds = committee.predictions(np.asarray(x, dtype=float)[None, :])[:, 0]
-    return float(np.var(preds, ddof=1))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .acquisition import (
     CollectRegion,
     decide_acquisition,
 )
-from .bayesian import Committee, mc_predict, mc_predict_batch
+from .bayesian import Committee, committee_train, mc_predict
 from .dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, DataPool, Sample, fit_normalizer
-from .neural import NetworkParams, NetworkSpec, TrainHyper, init_params, predict, train
+from .neural import NetworkSpec, TrainHyper, init_params, predict, train
 from .synth import TwinWorld, fit_gmm, realize_scenario, sample_gmm, twin_label
 
 STREAM_MIN_HISTORY = 10  # arrivals observed before the rolling threshold is trusted
@@ -246,16 +246,6 @@ class TwinOracle(PoolOracle):
 # ---------------------------------------------------------------------------
 
 
-def evaluate_rmse(params: NetworkParams, x_test: np.ndarray, y_test: np.ndarray) -> float:
-    """Root mean squared error of deterministic predictions, in Mbps."""
-    x_test = np.asarray(x_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float)
-    if x_test.ndim != 2 or x_test.shape[0] == 0:
-        raise ValueError("test set must be non-empty")
-    residuals = predict(params, x_test) - y_test
-    return float(np.sqrt(np.mean(residuals * residuals)))
-
-
 class _LoopState:
     """Model, folds, label scaling and bookkeeping shared by the loop drivers."""
 
@@ -267,6 +257,8 @@ class _LoopState:
             pool.normalizer = fit_normalizer(pool)
         if not pool.labeled:
             raise ValueError("pool needs a non-empty labeled seed")
+        if not pool.test:
+            raise ValueError("pool needs a non-empty test set")
         # A fixed slice of the initial seed is reserved for aleatoric
         # estimation and never trained on, so its residuals stay out of fold.
         seed_ids = sorted(pool.labeled)
@@ -289,11 +281,8 @@ class _LoopState:
         self.x_test = pool.normalized_features(self.test_ids)
         self.y_test = pool.labels_of(self.test_ids)
 
-    def train_ids(self) -> list[int]:
-        return sorted(self.pool.labeled - set(self.val_ids))
-
     def training_data(self) -> tuple[np.ndarray, np.ndarray]:
-        ids = self.train_ids()
+        ids = sorted(self.pool.labeled - set(self.val_ids))
         y = self.pool.labels_of(ids)
         return self.pool.normalized_features(ids), (y - self.label_mean) / self.label_std
 
@@ -320,8 +309,6 @@ class _LoopState:
             raise ArithmeticError("training produced non-finite parameters")
 
     def fit_committee(self, iteration: int, epochs: int) -> None:
-        from .bayesian import committee_train  # local to avoid unused import cost
-
         x, y = self.training_data()
         base_seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_QBC)
         if self.committee is None or not self.config.warm_start:
@@ -350,18 +337,19 @@ class _LoopState:
         return float(np.sqrt(np.mean(residuals * residuals)))
 
     def epistemic_std_mbps(self, x: np.ndarray, seed: int) -> np.ndarray:
-        _, epi_var = mc_predict_batch(self.params, x, self.config.mc_passes, seed)
+        _, epi_var = mc_predict(self.params, x, self.config.mc_passes, seed)
         return np.sqrt(epi_var) * self.label_std
 
-    def score_unlabeled(self, iteration: int) -> dict[int, float]:
-        """Epistemic standard deviation (Mbps) per unlabeled id."""
+    def score_unlabeled(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted unlabeled ids, their normalized features and their
+        epistemic standard deviations (Mbps)."""
         ids = sorted(self.pool.unlabeled)
-        if not ids:
-            return {}
         x = self.pool.normalized_features(ids)
-        seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_SCORE)
-        stds = self.epistemic_std_mbps(x, seed)
-        return {i: float(s) for i, s in zip(ids, stds)}
+        stds = np.zeros(0)
+        if ids:
+            seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_SCORE)
+            stds = self.epistemic_std_mbps(x, seed)
+        return np.array(ids, dtype=int), x, stds
 
     def check_hygiene(self) -> None:
         self.pool.check_invariants()
@@ -396,34 +384,24 @@ def run_pool_loop(
     state.fit(0, config.initial_epochs)
     if config.strategy == "qbc":
         state.fit_committee(0, config.initial_epochs)
-    scores = state.score_unlabeled(0)
+    # The scored unlabeled set is the next cycle's candidate set: nothing
+    # changes the unlabeled partition between scoring and selection.
+    ids, x, stds = state.score_unlabeled(0)
     curve = LearningCurve()
     curve.append(
         CurveRow(0, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                 _mean(scores.values()), state.aleatoric())
+                 _mean(stds), state.aleatoric())
     )
 
     for iteration in range(1, config.iterations + 1):
-        if not pool.unlabeled:
+        if not len(ids):
             break
-        candidate_ids = sorted(pool.unlabeled)
-        candidates = {
-            i: row
-            for i, row in zip(candidate_ids, pool.normalized_features(candidate_ids))
-        }
-        labeled_feats = pool.normalized_features(sorted(pool.labeled))
-        committee_scores = None
-        if config.strategy == "qbc":
-            preds = state.committee.predictions(
-                pool.normalized_features(candidate_ids)
-            )
-            variances = preds.var(axis=0, ddof=1)
-            committee_scores = {i: float(v) for i, v in zip(candidate_ids, variances)}
         inputs = AcquisitionInputs(
-            candidate_features=candidates,
-            labeled_features=labeled_feats,
-            epistemic_std=scores,
-            committee_var=committee_scores,
+            candidate_ids=ids,
+            candidate_features=x,
+            labeled_features=pool.normalized_features(sorted(pool.labeled)),
+            epistemic_std=stds,
+            committee_var=state.committee.disagreement(x) if config.strategy == "qbc" else None,
             select_seed=seeding.derive_seed(rng_seed, iteration, seeding.STREAM_SELECT),
             hybrid_beta=config.hybrid_beta,
         )
@@ -444,18 +422,17 @@ def run_pool_loop(
         state.fit(iteration, config.fine_tune_epochs)
         if config.strategy == "qbc":
             state.fit_committee(iteration, config.fine_tune_epochs)
-        scores = state.score_unlabeled(iteration)
+        ids, x, stds = state.score_unlabeled(iteration)
         state.check_hygiene()
         curve.append(
             CurveRow(iteration, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                     _mean(scores.values()), state.aleatoric())
+                     _mean(stds), state.aleatoric())
         )
     return curve
 
 
-def _mean(values: Iterable[float]) -> float:
-    values = list(values)
-    return float(np.mean(values)) if values else float("nan")
+def _mean(values: Sequence[float]) -> float:
+    return float(np.mean(values)) if len(values) else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +484,10 @@ def run_stream_loop(
 
     for index, sample in enumerate(arrivals):
         pool.add_unlabeled(sample)
-        x = pool.normalized_features([sample.id])[0]
-        dist = mc_predict(
-            state.params, x, config.mc_passes,
+        score = float(state.epistemic_std_mbps(
+            pool.normalized_features([sample.id]),
             seeding.derive_seed(rng_seed, index, seeding.STREAM_SCORE),
-        )
-        score = dist.epistemic_std * state.label_std
+        )[0])
         window_scores = history[-policy.window :]
         if len(window_scores) >= STREAM_MIN_HISTORY:
             threshold = float(

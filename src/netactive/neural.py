@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import copy
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,9 +108,8 @@ class AdamState:
 
 @dataclass
 class ForwardCache:
-    """Values kept from a forward pass for exact gradient computation."""
+    """Values kept from a batched forward pass for exact gradient computation."""
 
-    x: np.ndarray
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]  # post-activation, post-mask; activations[0] is x
     masks: list[np.ndarray] | None
@@ -142,28 +141,27 @@ def init_params(spec: NetworkSpec, rng_seed: int) -> NetworkParams:
 
 
 def draw_dropout_masks(
-    spec: NetworkSpec, rng: np.random.Generator, batch: int | None = None
+    spec: NetworkSpec, rng: np.random.Generator, batch: int
 ) -> list[np.ndarray]:
-    """Sample one {0,1} keep-mask per hidden layer (per example when batched)."""
-    shape = lambda h: (h,) if batch is None else (batch, h)
+    """Sample a {0,1} keep-mask per example for each hidden layer, (batch, h)."""
     return [
-        (rng.random(shape(h)) < spec.keep_prob).astype(float) for h in spec.hidden_sizes
+        (rng.random((batch, h)) < spec.keep_prob).astype(float) for h in spec.hidden_sizes
     ]
 
 
-def _forward(
-    params: NetworkParams, x: np.ndarray, masks: Sequence[np.ndarray] | None
+def forward(
+    params: NetworkParams, x: np.ndarray, masks: Sequence[np.ndarray] | None = None
 ) -> ForwardCache:
-    """Shared single-sample / batched forward pass.
+    """Forward pass for a (B, F) matrix; deterministic when no masks are given.
 
-    `x` is (F,) or (B, F); masks, when given, match the hidden activations.
-    Kept activations are divided by the keep probability (inverted dropout)
-    so the maskless pass needs no rescaling.
+    Masks, when given, match the hidden activations.  Kept activations are
+    divided by the keep probability (inverted dropout) so the maskless pass
+    needs no rescaling.
     """
     spec = params.spec
     a = np.asarray(x, dtype=float)
-    if a.shape[-1] != spec.n_inputs:
-        raise ValueError(f"input has {a.shape[-1]} features, spec expects {spec.n_inputs}")
+    if a.ndim != 2 or a.shape[1] != spec.n_inputs:
+        raise ValueError(f"input of shape {a.shape} is not a (B, {spec.n_inputs}) matrix of features")
     if masks is not None and len(masks) != len(spec.hidden_sizes):
         raise ValueError("one dropout mask per hidden layer required")
     pre, acts = [], [a]
@@ -178,60 +176,22 @@ def _forward(
         else:
             a = z  # linear output
         acts.append(a)
-    return ForwardCache(x=np.asarray(x, dtype=float), pre_activations=pre, activations=acts,
+    return ForwardCache(pre_activations=pre, activations=acts,
                         masks=list(masks) if masks is not None else None)
-
-
-def forward(
-    params: NetworkParams, x: np.ndarray, mask: Sequence[np.ndarray] | None = None
-) -> float:
-    """Predict for one feature vector; deterministic when no mask is given."""
-    cache = _forward(params, x, mask)
-    return float(cache.activations[-1][0])
-
-
-def forward_with_cache(
-    params: NetworkParams, x: np.ndarray, mask: Sequence[np.ndarray] | None = None
-) -> tuple[float, ForwardCache]:
-    cache = _forward(params, x, mask)
-    return float(cache.activations[-1][0]), cache
 
 
 def predict(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Deterministic (maskless) predictions for a (B, F) matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("predict expects a 2-D feature matrix")
-    return _forward(params, x, None).activations[-1][:, 0]
+    return forward(params, x).activations[-1][:, 0]
 
 
-def backward(params: NetworkParams, cache: ForwardCache, target: float) -> NetworkParams:
-    """Exact gradient of (pred - target)^2 through the cached forward pass."""
-    spec = params.spec
-    pred = cache.activations[-1]
-    delta = 2.0 * (pred - float(target))  # dL/dz at the linear output
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
-    for layer in reversed(range(len(params.weights))):
-        a_prev = cache.activations[layer]
-        grads_w[layer] = np.outer(delta, a_prev)
-        grads_b[layer] = delta.copy()
-        if layer > 0:
-            da = params.weights[layer].T @ delta
-            if cache.masks is not None:
-                da = da * cache.masks[layer - 1] / spec.keep_prob
-            delta = da * _act_grad(cache.pre_activations[layer - 1], spec.activation)
-    return NetworkParams(spec=spec, weights=grads_w, biases=grads_b)
-
-
-def _backward_batch(
+def backward(
     params: NetworkParams, cache: ForwardCache, targets: np.ndarray
 ) -> NetworkParams:
-    """Mean over the batch of per-example squared-error gradients."""
+    """Exact gradient of the batch mean of (pred - target)^2 through the cached pass."""
     spec = params.spec
-    batch = cache.x.shape[0]
-    preds = cache.activations[-1]
-    delta = 2.0 * (preds - targets.reshape(-1, 1))  # (B, 1)
+    batch = cache.activations[0].shape[0]
+    delta = 2.0 * (cache.activations[-1] - np.reshape(targets, (-1, 1)))  # (B, 1)
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     for layer in reversed(range(len(params.weights))):
@@ -312,45 +272,72 @@ def train(
             idx = order[start : start + batch_size]
             xb, yb = x[idx], y[idx]
             masks = draw_dropout_masks(spec, rng, batch=len(idx)) if use_dropout else None
-            cache = _forward(params, xb, masks)
-            grads = _backward_batch(params, cache, yb)
+            grads = backward(params, forward(params, xb, masks), yb)
             params, state = adam_step(params, grads, state, hyper)
     residuals = predict(params, x) - y
     return params, float(np.mean(residuals * residuals))
 
 
 def save_params(params: NetworkParams, path: str) -> None:
-    """Write a text checkpoint: spec header, then row-major values per layer."""
+    """Write a text checkpoint: spec header, then row-major values per layer.
+
+    The file is written beside `path` under a temporary name and renamed
+    over it, so a crash mid-write never leaves a truncated checkpoint."""
     spec = params.spec
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("netparams 1\n")
-        fh.write("layers " + " ".join(str(s) for s in spec.layer_sizes) + "\n")
-        fh.write(f"activation {spec.activation}\n")
-        fh.write(f"dropout_rate {spec.dropout_rate!r}\n")
-        fh.write(f"weight_init_scale {spec.weight_init_scale!r}\n")
-        for w, b in zip(params.weights, params.biases):
-            fh.write(" ".join(repr(float(v)) for v in w.ravel()) + "\n")
-            fh.write(" ".join(repr(float(v)) for v in b.ravel()) + "\n")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("netparams 1\n")
+            fh.write("layers " + " ".join(str(s) for s in spec.layer_sizes) + "\n")
+            fh.write(f"activation {spec.activation}\n")
+            fh.write(f"dropout_rate {spec.dropout_rate!r}\n")
+            fh.write(f"weight_init_scale {spec.weight_init_scale!r}\n")
+            for w, b in zip(params.weights, params.biases):
+                fh.write(" ".join(repr(float(v)) for v in w.ravel()) + "\n")
+                fh.write(" ".join(repr(float(v)) for v in b.ravel()) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_params(path: str) -> NetworkParams:
+    """Read a save_params checkpoint.
+
+    A truncated file, a line with the wrong number of values or a
+    non-finite value raises ValueError naming the path and line."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or not lines[0].startswith("netparams"):
         raise ValueError(f"{path}: not a parameter checkpoint")
-    sizes = [int(v) for v in lines[1].split()[1:]]
-    activation = lines[2].split()[1]
-    dropout = float(lines[3].split()[1])
-    scale = float(lines[4].split()[1])
+
+    def words(no: int, count: int | None = None) -> list[str]:
+        if no >= len(lines):
+            raise ValueError(f"{path}: line {no + 1}: missing (truncated checkpoint)")
+        got = lines[no].split()
+        if count is not None and len(got) != count:
+            raise ValueError(f"{path}: line {no + 1}: expected {count} values, found {len(got)}")
+        return got
+
+    def values(no: int, count: int) -> np.ndarray:
+        out = np.array([float(v) for v in words(no, count)])
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"{path}: line {no + 1}: non-finite value")
+        return out
+
     spec = NetworkSpec(
-        layer_sizes=sizes, dropout_rate=dropout, activation=activation, weight_init_scale=scale
+        layer_sizes=[int(v) for v in words(1)[1:]],
+        activation=words(2, 2)[1],
+        dropout_rate=float(words(3, 2)[1]),
+        weight_init_scale=float(words(4, 2)[1]),
     )
     weights, biases = [], []
     cursor = 5
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(
-            np.array([float(v) for v in lines[cursor].split()]).reshape(fan_out, fan_in)
-        )
-        biases.append(np.array([float(v) for v in lines[cursor + 1].split()]))
+    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+        weights.append(values(cursor, fan_out * fan_in).reshape(fan_out, fan_in))
+        biases.append(values(cursor + 1, fan_out))
         cursor += 2
     return NetworkParams(spec=spec, weights=weights, biases=biases)

@@ -156,8 +156,13 @@ def extract_stream_arrivals(pool: DataPool, n: int, rng_seed: int) -> list[Sampl
 
     The first n shuffled samples leave the pool carrying their ground
     truth (the stream loop re-registers and re-hides each one on arrival);
-    the leftovers drop out of the experiment entirely."""
+    the leftovers drop out of the experiment entirely.  Asking for more
+    arrivals than the pool holds raises ValueError."""
     ids = sorted(pool.unlabeled)
+    if n > len(ids):
+        raise ValueError(
+            f"{n} stream arrivals requested but the unlabeled pool holds only {len(ids)}"
+        )
     order = np.random.default_rng(rng_seed).permutation(len(ids))
     arrivals = []
     for i in order[:n]:

@@ -31,8 +31,8 @@ from netactive.neural import (
     NetworkSpec,
     TrainHyper,
     backward,
+    draw_dropout_masks,
     forward,
-    forward_with_cache,
     init_params,
 )
 from netactive.runner import extract_stream_arrivals, run_experiment
@@ -56,9 +56,11 @@ def report(criterion, passed, detail):
 # -------------------------------------------------------------------------
 
 
-def central_difference_grads(params, x, target, step=1e-5):
+def central_difference_grads(params, x, targets, masks, step=1e-5):
+    """Central differences of the batch-mean squared error."""
+
     def loss(p):
-        return (forward(p, x) - target) ** 2
+        return np.mean((forward(p, x, masks).activations[-1][:, 0] - targets) ** 2)
 
     out_w, out_b = [], []
     for layer in range(len(params.weights)):
@@ -83,24 +85,26 @@ def central_difference_grads(params, x, target, step=1e-5):
 
 def test_criterion_1_gradient_oracle():
     start = time.monotonic()
-    spec = NetworkSpec([3, 4, 1], activation="tanh")
+    spec = NetworkSpec([3, 4, 1], dropout_rate=0.4, activation="tanh")
     rng = np.random.default_rng(2024)
     worst = 0.0
     for trial in range(20):
         params = init_params(spec, 3000 + trial)
-        x = rng.normal(size=3)
-        target = float(rng.normal())
-        _, cache = forward_with_cache(params, x)
-        grads = backward(params, cache, target)
-        numeric = central_difference_grads(params, x, target)
-        for analytic, fd in zip(grads.weights + grads.biases, numeric):
-            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
-            worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
+        for batch, masked in itertools.product((1, 3), (False, True)):
+            x = rng.normal(size=(batch, 3))
+            targets = rng.normal(size=batch)
+            masks = draw_dropout_masks(spec, rng, batch) if masked else None
+            grads = backward(params, forward(params, x, masks), targets)
+            numeric = central_difference_grads(params, x, targets, masks)
+            for analytic, fd in zip(grads.weights + grads.biases, numeric):
+                denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
+                worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
     elapsed = time.monotonic() - start
     report(
         "1 (gradient oracle)",
         worst < 1e-4 and elapsed < 10.0,
-        f"max relative error {worst:.2e} over 20 nets in {elapsed:.1f}s",
+        f"max relative error {worst:.2e} over 20 nets at B=1 and B=3, "
+        f"with and without masks, in {elapsed:.1f}s",
     )
 
 
@@ -117,20 +121,20 @@ def test_criterion_2_mc_dropout_exact_oracle():
         weights=[np.array([[1.0, -0.5], [0.5, 1.0]]), np.array([[1.2, 0.8]])],
         biases=[np.array([0.1, -0.2]), np.array([0.3])],
     )
-    x = np.array([0.7, -0.4])
+    x = np.array([[0.7, -0.4]])
     outs = np.array(
         [
-            forward(params, x, mask=[np.array(bits, dtype=float)])
+            forward(params, x, [np.array([bits], dtype=float)]).activations[-1][0, 0]
             for bits in itertools.product([0, 1], repeat=2)
         ]
     )
     exact_mean, exact_var = outs.mean(), outs.var()
-    dist = mc_predict(params, x, n_passes=100_000, rng_seed=123)
-    mean_err = abs(dist.mean - exact_mean) / abs(exact_mean)
-    var_err = abs(dist.epistemic_var - exact_var) / exact_var
+    means, variances = mc_predict(params, x, n_passes=100_000, rng_seed=123)
+    mean_err = abs(means[0] - exact_mean) / abs(exact_mean)
+    var_err = abs(variances[0] - exact_var) / exact_var
 
     no_dropout = init_params(NetworkSpec([2, 4, 1], dropout_rate=0.0), 7)
-    zero_var = mc_predict(no_dropout, x, n_passes=1000, rng_seed=5).epistemic_var
+    zero_var = mc_predict(no_dropout, x, n_passes=1000, rng_seed=5)[1][0]
     elapsed = time.monotonic() - start
     report(
         "2 (MC-dropout exact oracle)",
@@ -174,7 +178,9 @@ def test_criterion_3_core_set_equivalence():
         dim = int(rng.integers(2, 6))
         labeled = rng.normal(size=(int(rng.integers(1, 25)), dim))
         candidates = {int(i): rng.normal(size=dim) for i in rng.choice(1000, n, replace=False)}
-        if select_core_set(labeled, candidates, k) != brute_force_k_center(
+        ids = sorted(candidates)
+        points = np.stack([candidates[i] for i in ids])
+        if select_core_set(labeled, ids, points, k) != brute_force_k_center(
             labeled, candidates, k
         ):
             mismatches += 1

@@ -44,26 +44,43 @@ def brute_force_k_center(labeled, candidates, k):
     return chosen
 
 
+def rank(scores):
+    """rank_uncertainty over {id: score}, as a list of ids."""
+    ids = sorted(scores)
+    return rank_uncertainty(np.array(ids), np.array([scores[i] for i in ids])).tolist()
+
+
+def core_set(labeled, candidates, k):
+    """select_core_set over {id: feature vector}."""
+    ids = sorted(candidates)
+    points = np.stack([candidates[i] for i in ids]) if ids else np.zeros((0, labeled.shape[1]))
+    return select_core_set(labeled, np.array(ids, dtype=int), points, k)
+
+
 class TestRankUncertainty:
     def test_sorts_descending(self):
-        assert rank_uncertainty({0: 0.1, 1: 0.5, 2: 0.3}) == [1, 2, 0]
+        assert rank({0: 0.1, 1: 0.5, 2: 0.3}) == [1, 2, 0]
 
     def test_tie_break_ascending_id(self):
-        assert rank_uncertainty({1: 0.4, 0: 0.4}) == [0, 1]
+        assert rank({1: 0.4, 0: 0.4}) == [0, 1]
+        # row order does not decide ties either
+        assert rank_uncertainty(np.array([7, 3, 5]), np.array([0.4, 0.4, 0.9])).tolist() == [
+            5, 3, 7
+        ]
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         scores = {i: float(s) for i, s in enumerate(rng.random(30))}
         cubed = {i: s**3 for i, s in scores.items()}
-        assert rank_uncertainty(scores) == rank_uncertainty(cubed)
+        assert rank(scores) == rank(cubed)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            rank_uncertainty({0: float("nan")})
+            rank({0: float("nan")})
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            rank_uncertainty({})
+            rank({})
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
@@ -71,7 +88,7 @@ class TestRankUncertainty:
         rng = np.random.default_rng(seed)
         scores = {i: float(s) for i, s in enumerate(rng.random(20) * 5)}
         transformed = {i: float(np.exp(s)) for i, s in scores.items()}
-        assert rank_uncertainty(scores) == rank_uncertainty(transformed)
+        assert rank(scores) == rank(transformed)
 
 
 class TestSelectCoreSet:
@@ -79,18 +96,18 @@ class TestSelectCoreSet:
         labeled = np.array([[0.0, 0.0]])
         candidates = {0: np.array([1.0, 0.0]), 1: np.array([0.9, 0.0]), 2: np.array([0.0, 2.0])}
         # min-distances to the labeled point are 1, 0.9, 2
-        assert select_core_set(labeled, candidates, k=1) == [2]
+        assert core_set(labeled, candidates, k=1) == [2]
 
     def test_second_pick_accounts_for_first(self):
         labeled = np.array([[0.0, 0.0]])
         candidates = {0: np.array([1.0, 0.0]), 1: np.array([0.9, 0.0]), 2: np.array([0.0, 2.0])}
         # after picking (0,2): distances of the rest to {(0,0),(0,2)} are 1 and 0.9
-        assert select_core_set(labeled, candidates, k=2) == [2, 0]
+        assert core_set(labeled, candidates, k=2) == [2, 0]
 
     def test_exhaustive_selection_is_permutation(self):
         rng = np.random.default_rng(1)
         candidates = {i: rng.normal(size=3) for i in range(8)}
-        chosen = select_core_set(rng.normal(size=(2, 3)), candidates, k=8)
+        chosen = core_set(rng.normal(size=(2, 3)), candidates, k=8)
         assert sorted(chosen) == list(range(8))
 
     def test_matches_brute_force_battery(self):
@@ -103,17 +120,17 @@ class TestSelectCoreSet:
             dim = int(rng.integers(2, 6))
             labeled = rng.normal(size=(n_labeled, dim))
             candidates = {int(i): rng.normal(size=dim) for i in rng.choice(5 * n, n, replace=False)}
-            fast = select_core_set(labeled, candidates, k)
+            fast = core_set(labeled, candidates, k)
             slow = brute_force_k_center(labeled, candidates, k)
             assert fast == slow, f"trial {trial}: {fast} != {slow}"
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError, match="no candidates"):
-            select_core_set(np.zeros((1, 2)), {}, k=1)
+            core_set(np.zeros((1, 2)), {}, k=1)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            select_core_set(np.zeros((1, 2)), {0: np.zeros(2)}, k=2)
+            core_set(np.zeros((1, 2)), {0: np.zeros(2)}, k=2)
 
 
 class TestHybridScore:
@@ -177,13 +194,16 @@ class TestBudget:
         assert 0.0 <= budget.spent <= budget.total
 
 
-def uniform_inputs(n, seed=0, scores=None):
+def uniform_inputs(n, seed=0, scores=None, points=None):
     rng = np.random.default_rng(seed)
-    candidates = {i: rng.normal(size=2) for i in range(n)}
+    candidates = rng.normal(size=(n, 2))
+    labeled = rng.normal(size=(4, 2))
+    stds = rng.random(n) if scores is None else np.array([scores[i] for i in range(n)])
     return AcquisitionInputs(
-        candidate_features=candidates,
-        labeled_features=rng.normal(size=(4, 2)),
-        epistemic_std=scores if scores is not None else {i: float(rng.random()) for i in range(n)},
+        candidate_ids=np.arange(n),
+        candidate_features=candidates if points is None else points,
+        labeled_features=labeled,
+        epistemic_std=stds,
         select_seed=7,
     )
 
@@ -217,10 +237,9 @@ class TestDecideAcquisition:
 
     def test_collect_region_geometry(self):
         scores = {0: 1.0, 1: 0.9, 2: 0.0}
-        inputs = uniform_inputs(3, scores=scores)
-        inputs.candidate_features = {
-            0: np.array([0.0, 0.0]), 1: np.array([2.0, 0.0]), 2: np.array([50.0, 50.0])
-        }
+        inputs = uniform_inputs(
+            3, scores=scores, points=np.array([[0.0, 0.0], [2.0, 0.0], [50.0, 50.0]])
+        )
         decision = decide_acquisition(
             "uncertainty", inputs, batch_size=2, budget=Budget(total=100.0),
             collect_policy=CollectPolicy(enabled=True, collect_fraction=1.0),
@@ -279,11 +298,11 @@ class TestDecideAcquisition:
 
     def test_hybrid_strategy_blends(self):
         rng = np.random.default_rng(4)
-        candidates = {i: rng.normal(size=2) for i in range(12)}
         inputs = AcquisitionInputs(
-            candidate_features=candidates,
+            candidate_ids=np.arange(12),
+            candidate_features=rng.normal(size=(12, 2)),
             labeled_features=rng.normal(size=(3, 2)),
-            epistemic_std={i: float(rng.random()) for i in range(12)},
+            epistemic_std=rng.random(12),
             hybrid_beta=0.5,
         )
         decision = decide_acquisition("hybrid", inputs, 3, Budget(total=100.0))
@@ -292,7 +311,10 @@ class TestDecideAcquisition:
 
     def test_coreset_strategy_uses_distances(self):
         labeled = np.array([[0.0, 0.0]])
-        candidates = {0: np.array([1.0, 0.0]), 1: np.array([0.9, 0.0]), 2: np.array([0.0, 2.0])}
-        inputs = AcquisitionInputs(candidate_features=candidates, labeled_features=labeled)
+        inputs = AcquisitionInputs(
+            candidate_ids=np.arange(3),
+            candidate_features=np.array([[1.0, 0.0], [0.9, 0.0], [0.0, 2.0]]),
+            labeled_features=labeled,
+        )
         decision = decide_acquisition("coreset", inputs, 1, Budget(total=10.0))
         assert decision.annotate_ids == [2]

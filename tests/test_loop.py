@@ -14,7 +14,6 @@ from netactive.loop import (
     StreamPolicy,
     SynthesisPolicy,
     TwinOracle,
-    evaluate_rmse,
     read_curve_csv,
     run_pool_loop,
     run_stream_loop,
@@ -54,33 +53,33 @@ def small_config(**overrides):
 
 
 class TestEvaluateRmse:
-    def _constant_net(self, value):
+    """RMSE of the loop state's deterministic predictions on the test set."""
+
+    def _state(self, build, value, labels):
         spec = NetworkSpec([2, 2, 1])
-        return NetworkParams(
+        params = NetworkParams(
             spec=spec,
             weights=[np.zeros((2, 2)), np.zeros((1, 2))],
             biases=[np.zeros(2), np.array([float(value)])],
         )
+        return build(params, (np.zeros((1, 2)), [0.0]), (np.zeros((len(labels), 2)), labels))
 
-    def test_perfect_predictions(self):
-        params = self._constant_net(5.0)
-        assert evaluate_rmse(params, np.zeros((3, 2)), np.full(3, 5.0)) == 0.0
+    def test_perfect_predictions(self, fixed_model_state):
+        assert self._state(fixed_model_state, 5.0, np.full(3, 5.0)).rmse() == 0.0
 
-    def test_hand_arithmetic(self):
-        params = self._constant_net(0.0)
-        got = evaluate_rmse(params, np.zeros((2, 2)), np.array([3.0, 4.0]))
+    def test_hand_arithmetic(self, fixed_model_state):
+        got = self._state(fixed_model_state, 0.0, np.array([3.0, 4.0])).rmse()
         np.testing.assert_allclose(got, np.sqrt(12.5), rtol=1e-12)
 
-    def test_mean_predictor_gives_population_std(self):
+    def test_mean_predictor_gives_population_std(self, fixed_model_state):
         rng = np.random.default_rng(0)
         labels = rng.uniform(0, 10, size=200)
-        params = self._constant_net(labels.mean())
-        got = evaluate_rmse(params, np.zeros((200, 2)), labels)
+        got = self._state(fixed_model_state, labels.mean(), labels).rmse()
         np.testing.assert_allclose(got, labels.std(), rtol=1e-12)
 
-    def test_empty_test_set(self):
+    def test_empty_test_set(self, fixed_model_state):
         with pytest.raises(ValueError, match="non-empty"):
-            evaluate_rmse(self._constant_net(0.0), np.zeros((0, 2)), np.zeros(0))
+            self._state(fixed_model_state, 0.0, np.zeros(0))
 
 
 class TestOracles:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from netactive.neural import (
     backward,
     draw_dropout_masks,
     forward,
-    forward_with_cache,
     init_params,
     load_params,
     predict,
@@ -27,12 +28,16 @@ def linear_params(w, b):
     )
 
 
-def finite_difference_grads(params, x, target, masks, step=1e-5):
-    """Central-difference gradient of (forward(x) - target)^2, the
-    independent oracle for backward()."""
+def outputs(params, x, masks=None):
+    return forward(params, x, masks).activations[-1][:, 0]
+
+
+def finite_difference_grads(params, x, targets, masks, step=1e-5):
+    """Central-difference gradient of the batch mean of (output - target)^2,
+    the independent oracle for backward()."""
 
     def loss(p):
-        return (forward(p, x, masks) - target) ** 2
+        return np.mean((outputs(p, x, masks) - targets) ** 2)
 
     grads_w, grads_b = [], []
     for layer in range(len(params.weights)):
@@ -104,10 +109,10 @@ class TestForward:
             weights=[np.zeros((2, 3)), np.zeros((1, 2))],
             biases=[np.zeros(2), np.array([3.0])],
         )
-        assert forward(params, np.array([9.0, -4.0, 2.0])) == 3.0
+        assert outputs(params, np.array([[9.0, -4.0, 2.0]])).tolist() == [3.0]
 
     def test_single_linear_layer(self):
-        assert forward(linear_params(2.0, 1.0), np.array([3.0])) == 7.0
+        assert outputs(linear_params(2.0, 1.0), np.array([[3.0], [0.5]])).tolist() == [7.0, 2.0]
 
     def test_all_ones_mask_matches_hand_computation(self):
         # two hidden units, fixed weights, dropout 0.5: mask of ones keeps
@@ -118,76 +123,78 @@ class TestForward:
             weights=[np.array([[1.0], [-0.5]]), np.array([[0.8, 0.6]])],
             biases=[np.array([0.2, -0.1]), np.array([0.3])],
         )
-        x = np.array([0.7])
+        x = np.array([[0.7]])
         h = np.tanh(np.array([1.0 * 0.7 + 0.2, -0.5 * 0.7 - 0.1]))
         expected = 0.8 * (h[0] / 0.5) + 0.6 * (h[1] / 0.5) + 0.3
-        got = forward(params, x, mask=[np.ones(2)])
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-        maskless = forward(params, x)
-        np.testing.assert_allclose(maskless, 0.8 * h[0] + 0.6 * h[1] + 0.3, rtol=1e-12)
+        got = outputs(params, x, [np.ones((1, 2))])
+        np.testing.assert_allclose(got, [expected], rtol=1e-12)
+        maskless = outputs(params, x)
+        np.testing.assert_allclose(maskless, [0.8 * h[0] + 0.6 * h[1] + 0.3], rtol=1e-12)
 
     def test_shape_mismatch(self):
         params = init_params(NetworkSpec([3, 2, 1]), 0)
         with pytest.raises(ValueError, match="features"):
-            forward(params, np.array([1.0, 2.0]))
+            forward(params, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="features"):
+            forward(params, np.array([1.0, 2.0, 3.0]))
 
     def test_maskless_pure(self):
         params = init_params(NetworkSpec([3, 4, 1], dropout_rate=0.0), 5)
-        x = np.array([0.1, 0.2, 0.3])
-        assert forward(params, x) == forward(params, x)
+        x = np.array([[0.1, 0.2, 0.3]])
+        np.testing.assert_array_equal(outputs(params, x), outputs(params, x))
 
 
 class TestBackward:
     def test_zero_loss_zero_gradient(self):
         params = linear_params(2.0, 1.0)
-        pred, cache = forward_with_cache(params, np.array([3.0]))
-        assert pred == 7.0
-        grads = backward(params, cache, target=7.0)
+        cache = forward(params, np.array([[3.0], [-1.0]]))
+        grads = backward(params, cache, np.array([7.0, -1.0]))
         np.testing.assert_array_equal(grads.weights[0], [[0.0]])
         np.testing.assert_array_equal(grads.biases[0], [0.0])
 
     def test_hand_differentiated_linear(self):
-        # w=1, b=0, x=2, target 0: pred=2, dL/dw = 2*pred*x = 8, dL/db = 4
+        # w=1, b=0, target 0: per example dL/dw = 2*pred*x = 2x^2, dL/db = 2x;
+        # over x = 2 and x = 1 the batch means are (8 + 2)/2 = 5 and (4 + 2)/2 = 3
         params = linear_params(1.0, 0.0)
-        _, cache = forward_with_cache(params, np.array([2.0]))
-        grads = backward(params, cache, target=0.0)
-        np.testing.assert_allclose(grads.weights[0], [[8.0]])
-        np.testing.assert_allclose(grads.biases[0], [4.0])
+        grads = backward(params, forward(params, np.array([[2.0], [1.0]])), np.zeros(2))
+        np.testing.assert_allclose(grads.weights[0], [[5.0]])
+        np.testing.assert_allclose(grads.biases[0], [3.0])
 
     def test_matches_finite_differences_341(self):
         rng = np.random.default_rng(11)
         spec = NetworkSpec([3, 4, 1], activation="tanh")
         params = init_params(spec, 11)
-        x = rng.normal(size=3)
-        target = float(rng.normal())
-        _, cache = forward_with_cache(params, x)
-        grads = backward(params, cache, target)
-        fd_w, fd_b = finite_difference_grads(params, x, target, masks=None)
-        assert max_relative_error(grads.weights + grads.biases, fd_w + fd_b) < 1e-4
+        for batch in (1, 3):
+            x = rng.normal(size=(batch, 3))
+            targets = rng.normal(size=batch)
+            grads = backward(params, forward(params, x), targets)
+            fd_w, fd_b = finite_difference_grads(params, x, targets, masks=None)
+            assert max_relative_error(grads.weights + grads.biases, fd_w + fd_b) < 1e-4
 
     def test_matches_finite_differences_with_mask(self):
         rng = np.random.default_rng(13)
         spec = NetworkSpec([3, 4, 1], dropout_rate=0.4, activation="tanh")
         params = init_params(spec, 13)
-        masks = draw_dropout_masks(spec, np.random.default_rng(2))
-        x = rng.normal(size=3)
-        target = 1.5
-        _, cache = forward_with_cache(params, x, mask=masks)
-        grads = backward(params, cache, target)
-        fd_w, fd_b = finite_difference_grads(params, x, target, masks=masks)
-        assert max_relative_error(grads.weights + grads.biases, fd_w + fd_b) < 1e-4
+        for batch in (1, 3):
+            masks = draw_dropout_masks(spec, np.random.default_rng(2), batch)
+            x = rng.normal(size=(batch, 3))
+            targets = np.full(batch, 1.5)
+            grads = backward(params, forward(params, x, masks), targets)
+            fd_w, fd_b = finite_difference_grads(params, x, targets, masks=masks)
+            assert max_relative_error(grads.weights + grads.biases, fd_w + fd_b) < 1e-4
 
     def test_gradient_battery_20_random_nets(self):
-        spec = NetworkSpec([3, 4, 1], activation="tanh")
+        spec = NetworkSpec([3, 4, 1], dropout_rate=0.3, activation="tanh")
         rng = np.random.default_rng(99)
         for trial in range(20):
             params = init_params(spec, 1000 + trial)
-            x = rng.normal(size=3)
-            target = float(rng.normal())
-            _, cache = forward_with_cache(params, x)
-            grads = backward(params, cache, target)
-            fd_w, fd_b = finite_difference_grads(params, x, target, masks=None)
-            assert max_relative_error(grads.weights + grads.biases, fd_w + fd_b) < 1e-4
+            for batch in (1, 3):
+                x = rng.normal(size=(batch, 3))
+                targets = rng.normal(size=batch)
+                for masks in (None, draw_dropout_masks(spec, rng, batch)):
+                    grads = backward(params, forward(params, x, masks), targets)
+                    fd_w, fd_b = finite_difference_grads(params, x, targets, masks=masks)
+                    assert max_relative_error(grads.weights + grads.biases, fd_w + fd_b) < 1e-4
 
 
 class TestAdam:
@@ -281,22 +288,41 @@ class TestTrain:
 
 
 class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path):
+    def _saved(self, tmp_path):
         spec = NetworkSpec([3, 5, 1], dropout_rate=0.25, activation="tanh",
                            weight_init_scale=1.5)
         params = init_params(spec, 21)
         path = tmp_path / "params.txt"
         save_params(params, str(path))
+        return params, path
+
+    def test_roundtrip_exact(self, tmp_path):
+        params, path = self._saved(tmp_path)
         loaded = load_params(str(path))
-        assert loaded.spec == spec
+        assert loaded.spec == params.spec
         for a, b in zip(params.weights, loaded.weights):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(params.biases, loaded.biases):
             np.testing.assert_array_equal(a, b)
+        assert [p.name for p in tmp_path.iterdir()] == ["params.txt"]  # no temp file left
+
+    # Lines 6-9 hold the [3, 5, 1] net's W1 (15 values), b1 (5), W2 (5), b2 (1).
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:7], "line 8: missing"),
+        (lambda lines: lines[:5] + [" ".join(lines[5].split()[1:])] + lines[6:],
+         "line 6: expected 15 values, found 14"),
+        (lambda lines: lines[:7] + [" ".join(["nan"] + lines[7].split()[1:])] + lines[8:],
+         "line 8: non-finite"),
+    ], ids=["truncated", "short_weight_line", "nan_weight"])
+    def test_malformed_checkpoint_names_line(self, tmp_path, edit, message):
+        _, path = self._saved(tmp_path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_params(str(path))
 
     def test_predict_batch_matches_forward(self):
         params = init_params(NetworkSpec([4, 6, 1], activation="tanh"), 8)
         x = np.random.default_rng(3).normal(size=(7, 4))
         batched = predict(params, x)
-        single = [forward(params, row) for row in x]
+        single = [outputs(params, row[None, :])[0] for row in x]
         np.testing.assert_allclose(batched, single, rtol=1e-12)

@@ -1,10 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from netactive.cli import main
-from netactive.config import ExperimentConfig, format_config
+from netactive.config import ExperimentConfig, format_config, parse_config
 from netactive.loop import read_curve_csv
 from netactive.runner import export_query_geography, run_experiment
 
@@ -104,6 +105,13 @@ class TestRunExperiment:
         run_experiment(config, output_dir=str(tmp_path))
         curve = read_curve_csv(str(tmp_path / "curve_uncertainty_seed0.csv"))
         assert curve.rows[0].iteration == 0
+
+    def test_stream_arrivals_beyond_pool_rejected(self, tmp_path):
+        # the shipped stream config leaves 1872 unlabeled samples per seed
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic_stream.cfg")
+        config = dataclasses.replace(parse_config(shipped), stream_arrivals=5000, seeds="0")
+        with pytest.raises(ValueError, match="5000 stream arrivals .* only 1872"):
+            run_experiment(config, output_dir=str(tmp_path))
 
     def test_synthesis_loop_through_runner(self, tmp_path):
         config = fast_config(loop="synthesis", strategies="uncertainty", seeds="0",
