@@ -11,6 +11,7 @@ from .neural import (
     NetworkSpec,
     TrainHyper,
     _act,
+    _feature_matrix,
     draw_dropout_masks,
     init_params,
     predict,
@@ -54,29 +55,41 @@ def mc_predict(
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     spec = params.spec
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("mc_predict expects a 2-D feature matrix")
-    if spec.dropout_rate == 0.0 or not spec.hidden_sizes:
+    x = _feature_matrix(spec, x)
+    n = x.shape[0]
+    if spec.dropout_rate == 0.0 or not spec.hidden_sizes or n == 0:
         means = predict(params, x)
         return means, np.zeros_like(means)
     masks = draw_dropout_masks(spec, np.random.default_rng(rng_seed), n_passes)
-    n = x.shape[0]
     # Passes run in groups stacked into one (group * n, h) matrix, so a
     # single row evaluates many passes per matrix product while a large
-    # matrix runs one pass at a time.
+    # matrix runs one pass at a time.  Each hidden layer has one activation
+    # buffer, sized to the first group and reused by every group.
     group = max(1, MC_GROUP_ROWS // n)
-    first = _act(x @ params.weights[0].T + params.biases[0], spec.activation)
+    weights, biases, keep = params.weights, params.biases, spec.keep_prob
+    first = _act(x @ weights[0].T + biases[0], spec.activation)
+    hidden = [np.empty((min(group, n_passes), n, h)) for h in spec.hidden_sizes]
     outs = np.empty((n_passes, n))
     for start in range(0, n_passes, group):
         passes = slice(start, start + group)
-        a = first * masks[0][passes, None, :] / spec.keep_prob  # (group, n, h1)
-        for layer in range(1, len(params.weights) - 1):
-            z = a.reshape(-1, a.shape[-1]) @ params.weights[layer].T + params.biases[layer]
-            a = _act(z, spec.activation).reshape(len(a), n, -1)
-            a = a * masks[layer][passes, None, :] / spec.keep_prob
-        out = a.reshape(-1, a.shape[-1]) @ params.weights[-1].T + params.biases[-1]
-        outs[passes] = out.reshape(len(a), n)
+        out = outs[passes]
+        a = hidden[0][: len(out)]
+        np.multiply(first, masks[0][passes, None, :], out=a)
+        np.divide(a, keep, out=a)
+        for layer in range(1, len(hidden)):
+            prev, a = a, hidden[layer][: len(out)]
+            np.matmul(prev.reshape(-1, prev.shape[2]), weights[layer].T,
+                      out=a.reshape(-1, a.shape[2]))
+            np.add(a, biases[layer], out=a)
+            if spec.activation == "relu":
+                np.maximum(a, 0.0, out=a)
+            else:
+                np.tanh(a, out=a)
+            np.multiply(a, masks[layer][passes, None, :], out=a)
+            np.divide(a, keep, out=a)
+        out = out.reshape(-1, 1)
+        np.matmul(a.reshape(-1, a.shape[2]), weights[-1].T, out=out)
+        np.add(out, biases[-1], out=out)
     epistemic = outs.var(axis=0, ddof=1) if n_passes > 1 else np.zeros(n)
     return outs.mean(axis=0), epistemic
 

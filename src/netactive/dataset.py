@@ -128,6 +128,11 @@ class DataPool:
 
     # -- mutation (engine-mediated) ---------------------------------------
 
+    @property
+    def next_id(self) -> int:
+        """The id allocate_id hands out next."""
+        return self._next_id
+
     def allocate_id(self) -> int:
         sid = self._next_id
         self._next_id += 1

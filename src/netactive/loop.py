@@ -196,16 +196,17 @@ class TwinOracle(PoolOracle):
 
         Points are drawn uniformly in the normalized-space ball, mapped back
         to raw features, snapped onto the valid schema and registered with
-        their ground truth hidden.  Charges count * collection_cost once."""
+        their ground truth hidden.  Charges count * collection_cost once.
+        Every sample is built before the budget is charged and any sample
+        is registered, so a failure leaves budget and pool untouched."""
         if count < 1:
             return []
         if self.pool.normalizer is None:
             raise OracleError("collection requires a fitted normalizer on the pool")
-        self.budget.charge(count * self.budget.collection_cost)
         rng = self._next_rng()
         dim = region.centroid.shape[0]
         out = []
-        for _ in range(count):
+        for sid in range(self.pool.next_id, self.pool.next_id + count):
             direction = rng.standard_normal(dim)
             norm = np.linalg.norm(direction)
             direction = direction / norm if norm > 0 else direction
@@ -213,15 +214,16 @@ class TwinOracle(PoolOracle):
             raw = self.pool.normalizer.denormalize(region.centroid + offset)
             raw = realize_scenario(self.world, raw, rng)
             label = twin_label(self.world, raw, int(rng.integers(0, 2**31)))
-            sample = Sample(
-                id=self.pool.allocate_id(),
+            out.append(Sample(
+                id=sid,
                 features=raw,
                 label=label,
                 origin=ORIGIN_COLLECTED,
                 iteration_acquired=iteration,
-            )
+            ))
+        self.budget.charge(count * self.budget.collection_cost)
+        for sample in out:
             self.pool.add_unlabeled(sample)  # hides the label again
-            out.append(sample)
         return out
 
     def synthesize(self, features: np.ndarray, iteration: int) -> Sample:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +47,34 @@ class NetworkSpec:
         return 1.0 - self.dropout_rate
 
 
+def _layer_views(spec: NetworkSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a flat parameter vector."""
+    weights, biases, offset = [], [], 0
+    sizes = spec.layer_sizes
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    if offset != flat.shape[0]:
+        raise ValueError(f"flat vector of {flat.shape[0]} values does not fit spec {sizes}")
+    return weights, biases
+
+
 @dataclass
 class NetworkParams:
-    """Weights and biases; weight l has shape (fan_out, fan_in)."""
+    """Weights and biases; weight l has shape (fan_out, fan_in).
+
+    Every value lives in one contiguous vector, `flat`: layer by layer, the
+    row-major weight matrix followed by its bias.  `weights` and `biases`
+    are views into it, so an in-place update of `flat` updates them.  The
+    constructor copies the given arrays into a new flat vector.
+    """
 
     spec: NetworkSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.spec.layer_sizes
@@ -64,18 +85,24 @@ class NetworkParams:
         for i, b in enumerate(self.biases):
             if b.shape != (sizes[i + 1],):
                 raise ValueError(f"bias {i} has shape {b.shape}, expected ({sizes[i + 1]},)")
+        self.flat = np.concatenate(
+            [a.ravel() for pair in zip(self.weights, self.biases) for a in pair], dtype=float
+        )
+        self.weights, self.biases = _layer_views(self.spec, self.flat)
+
+    @classmethod
+    def from_flat(cls, spec: NetworkSpec, flat: np.ndarray) -> NetworkParams:
+        """Parameters viewing `flat` itself, without a copy."""
+        params = cls.__new__(cls)
+        params.spec, params.flat = spec, flat
+        params.weights, params.biases = _layer_views(spec, flat)
+        return params
 
     def copy(self) -> NetworkParams:
-        return NetworkParams(
-            spec=self.spec,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return NetworkParams.from_flat(self.spec, self.flat.copy())
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+        return bool(np.all(np.isfinite(self.flat)))
 
 
 @dataclass
@@ -88,22 +115,21 @@ class TrainHyper:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the bias-correction step counter."""
+    """Flat first/second moment estimates plus the bias-correction step counter.
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    `m` and `v` match `NetworkParams.flat` element for element."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = np.empty((2, self.m.shape[0]))
 
     @classmethod
     def zeros_like(cls, params: NetworkParams) -> AdamState:
-        return cls(
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 @dataclass
@@ -119,13 +145,6 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     return np.tanh(z)
-
-
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(float)
-    t = np.tanh(z)
-    return 1.0 - t * t
 
 
 def init_params(spec: NetworkSpec, rng_seed: int) -> NetworkParams:
@@ -149,30 +168,37 @@ def draw_dropout_masks(
     ]
 
 
+def _feature_matrix(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != spec.n_inputs:
+        raise ValueError(f"input of shape {a.shape} is not a (B, {spec.n_inputs}) matrix of features")
+    return a
+
+
 def forward(
     params: NetworkParams, x: np.ndarray, masks: Sequence[np.ndarray] | None = None
 ) -> ForwardCache:
     """Forward pass for a (B, F) matrix; deterministic when no masks are given.
 
-    Masks, when given, match the hidden activations.  Kept activations are
-    divided by the keep probability (inverted dropout) so the maskless pass
-    needs no rescaling.
+    Masks, when given, are {0,1} keep-masks matching the hidden
+    activations.  Kept activations are divided by the keep probability
+    (inverted dropout) so the maskless pass needs no rescaling.
     """
     spec = params.spec
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[1] != spec.n_inputs:
-        raise ValueError(f"input of shape {a.shape} is not a (B, {spec.n_inputs}) matrix of features")
+    a = _feature_matrix(spec, x)
     if masks is not None and len(masks) != len(spec.hidden_sizes):
         raise ValueError("one dropout mask per hidden layer required")
     pre, acts = [], [a]
     n_layers = len(params.weights)
     for layer in range(n_layers):
-        z = a @ params.weights[layer].T + params.biases[layer]
+        z = a @ params.weights[layer].T
+        z += params.biases[layer]
         pre.append(z)
         if layer < n_layers - 1:
             a = _act(z, spec.activation)
             if masks is not None:
-                a = a * masks[layer] / spec.keep_prob
+                a *= masks[layer]
+                a /= spec.keep_prob
         else:
             a = z  # linear output
         acts.append(a)
@@ -189,52 +215,67 @@ def backward(
     params: NetworkParams, cache: ForwardCache, targets: np.ndarray
 ) -> NetworkParams:
     """Exact gradient of the batch mean of (pred - target)^2 through the cached pass."""
+    grads = NetworkParams.from_flat(params.spec, np.empty_like(params.flat))
+    _backward_into(grads, params, cache, targets)
+    return grads
+
+
+def _backward_into(
+    grads: NetworkParams, params: NetworkParams, cache: ForwardCache, targets: np.ndarray
+) -> None:
+    """backward(), written into the views of an existing gradient buffer."""
     spec = params.spec
     batch = cache.activations[0].shape[0]
     delta = 2.0 * (cache.activations[-1] - np.reshape(targets, (-1, 1)))  # (B, 1)
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
     for layer in reversed(range(len(params.weights))):
-        a_prev = cache.activations[layer]
-        grads_w[layer] = delta.T @ a_prev / batch
-        grads_b[layer] = delta.mean(axis=0)
+        np.divide(delta.T @ cache.activations[layer], batch, out=grads.weights[layer])
+        np.divide(np.add.reduce(delta, axis=0), batch, out=grads.biases[layer])
         if layer > 0:
-            da = delta @ params.weights[layer]
-            if cache.masks is not None:
-                da = da * cache.masks[layer - 1] / spec.keep_prob
-            delta = da * _act_grad(cache.pre_activations[layer - 1], spec.activation)
-    return NetworkParams(spec=spec, weights=grads_w, biases=grads_b)
+            delta = delta @ params.weights[layer]
+            if spec.activation == "relu":
+                # The kept activation is > 0 exactly where the mask and the
+                # relu derivative are both 1, so one 0/1 factor stands for
+                # both: ((d*mask)/keep)*relu' and (d*(mask*relu'))/keep agree
+                # bit for bit, signed zeros and non-finite values included.
+                delta *= (cache.activations[layer] > 0.0).astype(float)
+                if cache.masks is not None:
+                    delta /= spec.keep_prob
+            else:
+                if cache.masks is not None:
+                    delta *= cache.masks[layer - 1]
+                    delta /= spec.keep_prob
+                t = np.tanh(cache.pre_activations[layer - 1])
+                delta *= 1.0 - t * t
 
 
 def adam_step(
     params: NetworkParams, grads: NetworkParams, state: AdamState, hyper: TrainHyper
-) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update; pure, returns fresh params and state."""
-    t = state.t + 1
+) -> None:
+    """One bias-corrected Adam update of params and state, in place.
+
+    Every element sees the textbook expressions in their usual order:
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then
+    p - lr*m_hat / (sqrt(v_hat) + eps) with m_hat = m/(1-b1**t) and
+    v_hat = v/(1-b2**t)."""
+    state.t += 1
+    t = state.t
     b1, b2 = hyper.beta1, hyper.beta2
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
-
-    def update(p, g, m, v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        return p - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.eps), m, v
-
-    for i in range(len(params.weights)):
-        w, m, v = update(params.weights[i], grads.weights[i], state.m_weights[i], state.v_weights[i])
-        new_w.append(w)
-        m_w.append(m)
-        v_w.append(v)
-        b, m, v = update(params.biases[i], grads.biases[i], state.m_biases[i], state.v_biases[i])
-        new_b.append(b)
-        m_b.append(m)
-        v_b.append(v)
-    return (
-        NetworkParams(spec=params.spec, weights=new_w, biases=new_b),
-        AdamState(m_weights=m_w, m_biases=m_b, v_weights=v_w, v_biases=v_b, t=t),
-    )
+    g, m, v = grads.flat, state.m, state.v
+    step, denom = state._scratch
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=step)
+    np.add(m, step, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1.0 - b2, out=step)
+    np.multiply(step, g, out=step)
+    np.add(v, step, out=v)
+    np.divide(m, 1.0 - b1**t, out=step)
+    np.multiply(step, hyper.learning_rate, out=step)
+    np.divide(v, 1.0 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    np.add(denom, hyper.eps, out=denom)
+    np.divide(step, denom, out=step)
+    np.subtract(params.flat, step, out=params.flat)
 
 
 def train(
@@ -250,6 +291,9 @@ def train(
 
     Returns the trained parameters (the input is never mutated) and the
     maskless mean squared error over the full set after the final epoch.
+    Each epoch draws one permutation and then, in one call, the dropout
+    masks of all its batches, batch by batch and layer by layer: the same
+    stream of random doubles as one draw_dropout_masks call per batch.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -262,18 +306,33 @@ def train(
     hyper = hyper or TrainHyper()
     spec = params.spec
     params = params.copy()
+    grads = NetworkParams.from_flat(spec, np.empty_like(params.flat))
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(rng_seed)
     n = x.shape[0]
-    use_dropout = spec.dropout_rate > 0.0
+    batches = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
+    # One epoch's keep-masks live in one buffer, batch by batch and layer by
+    # layer; each batch's per-layer masks are fixed views into it.
+    batch_masks = [None] * len(batches)
+    if spec.dropout_rate > 0.0:
+        draws = np.empty(n * sum(spec.hidden_sizes))
+        keep = np.empty_like(draws)
+        offset = 0
+        for k, rows in enumerate(batches):
+            count = min(batch_size, n - rows.start)
+            batch_masks[k] = []
+            for h in spec.hidden_sizes:
+                batch_masks[k].append(keep[offset : offset + count * h].reshape(count, h))
+                offset += count * h
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = x[idx], y[idx]
-            masks = draw_dropout_masks(spec, rng, batch=len(idx)) if use_dropout else None
-            grads = backward(params, forward(params, xb, masks), yb)
-            params, state = adam_step(params, grads, state, hyper)
+        if spec.dropout_rate > 0.0:
+            rng.random(out=draws)
+            np.less(draws, spec.keep_prob, out=keep)
+        for rows, masks in zip(batches, batch_masks):
+            idx = order[rows]
+            _backward_into(grads, params, forward(params, x[idx], masks), y[idx])
+            adam_step(params, grads, state, hyper)
     residuals = predict(params, x) - y
     return params, float(np.mean(residuals * residuals))
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from netactive.neural import (
     NetworkParams,
     NetworkSpec,
     TrainHyper,
+    draw_dropout_masks,
     forward,
     init_params,
     predict,
@@ -52,6 +54,21 @@ def reference_mc(params, x, n_passes, rng_seed):
         forward(params, x, [np.tile(m[t], (len(x), 1)) for m in masks]).activations[-1][:, 0]
         for t in range(n_passes)
     ])
+    return outs.mean(axis=0), outs.var(axis=0, ddof=1)
+
+
+def stacked_reference_mc(params, x, n_passes, rng_seed):
+    """One-row MC-dropout through forward(): the first layer once for the
+    row, then every pass stacked as one row of the remaining network."""
+    spec = params.spec
+    masks = draw_dropout_masks(spec, np.random.default_rng(rng_seed), n_passes)
+    z = forward(params, x).pre_activations[0]
+    first = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+    rest = NetworkParams(
+        NetworkSpec(spec.layer_sizes[1:], spec.dropout_rate, spec.activation),
+        params.weights[1:], params.biases[1:],
+    )
+    outs = forward(rest, first * masks[0] / spec.keep_prob, masks[1:]).activations[-1]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
 
 
@@ -134,6 +151,33 @@ class TestMcPredict:
             state.epistemic_std_mbps(x, seed=4), np.sqrt(variances) * 3.0
         )
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_matches_reference_exactly(self, activation, rows):
+        # 300 rows run one pass at a time, exactly a per-pass loop through
+        # forward(); one row stacks all passes into one matrix, so its
+        # reference stacks them too (a 1-row product can differ in the
+        # last bit from the same row inside a stacked product)
+        params = init_params(
+            NetworkSpec([3, 16, 8, 1], dropout_rate=0.2, activation=activation), 5
+        )
+        x = np.random.default_rng(rows).normal(size=(rows, 3))
+        reference = stacked_reference_mc if rows == 1 else reference_mc
+        means, variances = mc_predict(params, x, n_passes=50, rng_seed=8)
+        ref_means, ref_vars = reference(params, x, n_passes=50, rng_seed=8)
+        np.testing.assert_array_equal(means, ref_means)
+        np.testing.assert_array_equal(variances, ref_vars)
+
+    def test_empty_matrix_gives_empty_arrays(self):
+        _, params = two_unit_net()
+        means, variances = mc_predict(params, np.zeros((0, 2)), n_passes=10, rng_seed=0)
+        assert means.shape == (0,) and variances.shape == (0,)
+
+    def test_wrong_width_names_shape(self):
+        _, params = two_unit_net()
+        with pytest.raises(ValueError, match=re.escape("input of shape (4, 3)")):
+            mc_predict(params, np.zeros((4, 3)), n_passes=10, rng_seed=0)
+
     def test_validates_pass_count(self):
         _, params = two_unit_net()
         with pytest.raises(ValueError):
@@ -208,6 +252,16 @@ class TestCommittee:
         for member in committee.members:
             residuals = predict(member, x) - y
             assert float(np.mean(residuals**2)) < 1e-2
+
+    def test_members_own_their_memory(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(12, 2))
+        committee = committee_train(NetworkSpec([2, 4, 1], dropout_rate=0.2), x, x[:, 0],
+                                    n_members=3, base_seed=0, epochs=2, batch_size=4)
+        flats = [m.flat for m in committee.members]
+        for i, a in enumerate(flats):
+            for b in flats[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
     def test_single_member_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):

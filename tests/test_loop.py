@@ -142,6 +142,45 @@ class TestOracles:
             assert pool.samples[s.id].origin == ORIGIN_COLLECTED
         pool.check_invariants()
 
+    def test_twin_collect_is_atomic(self, monkeypatch):
+        from netactive import loop
+        from netactive.acquisition import CollectRegion
+
+        world = small_world()
+        pool = small_pool(world=world)
+        budget = Budget(total=10.0, collection_cost=0.25)
+        oracle = TwinOracle(pool, budget, world, rng_seed=5)
+        centroid = pool.normalized_features(sorted(pool.labeled)[:1])[0]
+        samples, unlabeled = dict(pool.samples), set(pool.unlabeled)
+        calls = []
+        real_label = loop.twin_label
+
+        def failing_label(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("twin world unreachable")
+            return real_label(*args)
+
+        monkeypatch.setattr(loop, "twin_label", failing_label)
+        with pytest.raises(RuntimeError, match="unreachable"):
+            oracle.collect(CollectRegion(centroid, 0.5), 3, iteration=2)
+        assert budget.spent == 0.0
+        assert pool.samples == samples
+        assert pool.unlabeled == unlabeled
+        pool.check_invariants()
+
+    def test_twin_collect_over_budget_rejected(self):
+        from netactive.acquisition import BudgetError, CollectRegion
+
+        world = small_world()
+        pool = small_pool(world=world)
+        budget = Budget(total=0.5, collection_cost=0.25)
+        oracle = TwinOracle(pool, budget, world, rng_seed=5)
+        before = len(pool.samples)
+        with pytest.raises(BudgetError, match="exceeds remaining budget"):
+            oracle.collect(CollectRegion(np.zeros(N_FEATURES), 0.5), 3, iteration=1)
+        assert budget.spent == 0.0 and len(pool.samples) == before
+
     def test_twin_synthesize_charges_both_costs(self):
         world = small_world()
         pool = small_pool(world=world)

@@ -68,6 +68,29 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
+def reference_backward(params, cache, targets):
+    """backward() spelled out on fresh arrays: the batch-mean gradient with
+    the mask, the keep probability and the activation derivative applied
+    one after another."""
+    spec = params.spec
+    delta = 2.0 * (cache.activations[-1] - np.reshape(targets, (-1, 1)))
+    grads_w, grads_b = [None] * len(params.weights), [None] * len(params.weights)
+    for layer in reversed(range(len(params.weights))):
+        grads_w[layer] = delta.T @ cache.activations[layer] / len(delta)
+        grads_b[layer] = delta.mean(axis=0)
+        if layer > 0:
+            da = delta @ params.weights[layer]
+            if cache.masks is not None:
+                da = da * cache.masks[layer - 1] / spec.keep_prob
+            z = cache.pre_activations[layer - 1]
+            if spec.activation == "relu":
+                delta = da * (z > 0.0).astype(float)
+            else:
+                t = np.tanh(z)
+                delta = da * (1.0 - t * t)
+    return grads_w, grads_b
+
+
 class TestSpecValidation:
     def test_output_must_be_scalar(self):
         with pytest.raises(ValueError, match="output layer"):
@@ -99,6 +122,23 @@ class TestInitParams:
         params = init_params(spec, 1)
         bound = 2.0 * np.sqrt(1.0 / 4)
         assert np.all(np.abs(params.weights[0]) <= bound)
+
+
+class TestNetworkParams:
+    def test_layers_view_one_flat_vector(self):
+        w0, b0 = np.arange(6.0).reshape(3, 2), np.array([6.0, 7.0, 8.0])
+        w1, b1 = np.array([[9.0, 10.0, 11.0]]), np.array([12.0])
+        params = NetworkParams(NetworkSpec([2, 3, 1]), [w0, w1], [b0, b1])
+        np.testing.assert_array_equal(params.flat, np.arange(13.0))
+        params.flat += 1.0  # the views follow the vector
+        np.testing.assert_array_equal(params.weights[1], w1 + 1.0)
+        assert not np.shares_memory(params.weights[0], w0)  # the constructor copies
+
+    def test_copy_is_independent(self):
+        params = init_params(NetworkSpec([2, 3, 1]), 0)
+        clone = params.copy()
+        clone.weights[0][0, 0] += 1.0
+        assert params.weights[0][0, 0] != clone.weights[0][0, 0]
 
 
 class TestForward:
@@ -183,6 +223,22 @@ class TestBackward:
             fd_w, fd_b = finite_difference_grads(params, x, targets, masks=masks)
             assert max_relative_error(grads.weights + grads.biases, fd_w + fd_b) < 1e-4
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_matches_reference_exactly(self, activation, dropout):
+        spec = NetworkSpec([3, 16, 8, 1], dropout_rate=dropout, activation=activation)
+        params = init_params(spec, 7)
+        rng = np.random.default_rng(7)
+        for batch in (1, 64):
+            x = rng.normal(size=(batch, 3))
+            masks = draw_dropout_masks(spec, rng, batch) if dropout else None
+            cache = forward(params, x, masks)
+            targets = rng.normal(size=batch)
+            grads = backward(params, cache, targets)
+            want_w, want_b = reference_backward(params, cache, targets)
+            for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+                np.testing.assert_array_equal(got, want)
+
     def test_gradient_battery_20_random_nets(self):
         spec = NetworkSpec([3, 4, 1], dropout_rate=0.3, activation="tanh")
         rng = np.random.default_rng(99)
@@ -200,13 +256,15 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_no_change(self):
         params = init_params(NetworkSpec([2, 2, 1]), 0)
+        before = params.copy()
         grads = NetworkParams(
             spec=params.spec,
             weights=[np.zeros_like(w) for w in params.weights],
             biases=[np.zeros_like(b) for b in params.biases],
         )
-        updated, state = adam_step(params, grads, AdamState.zeros_like(params), TrainHyper())
-        for w0, w1 in zip(params.weights, updated.weights):
+        state = AdamState.zeros_like(params)
+        adam_step(params, grads, state, TrainHyper())
+        for w0, w1 in zip(before.weights, params.weights):
             np.testing.assert_array_equal(w0, w1)
         assert state.t == 1
 
@@ -217,18 +275,50 @@ class TestAdam:
             spec=params.spec, weights=[np.array([[1.0]])], biases=[np.array([0.0])]
         )
         hyper = TrainHyper(learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-        updated, _ = adam_step(params, grads, AdamState.zeros_like(params), hyper)
+        adam_step(params, grads, AdamState.zeros_like(params), hyper)
         expected_delta = -0.01 * 1.0 / (1.0 + 1e-8)
-        np.testing.assert_allclose(updated.weights[0][0, 0] - 0.5, expected_delta, rtol=1e-12)
+        np.testing.assert_allclose(params.weights[0][0, 0] - 0.5, expected_delta, rtol=1e-12)
 
     def test_deterministic(self):
         params = init_params(NetworkSpec([2, 3, 1]), 3)
         grads = init_params(NetworkSpec([2, 3, 1]), 4)
-        out1, st1 = adam_step(params, grads, AdamState.zeros_like(params), TrainHyper())
-        out2, st2 = adam_step(params, grads, AdamState.zeros_like(params), TrainHyper())
+        out1, out2 = params.copy(), params.copy()
+        st1, st2 = AdamState.zeros_like(params), AdamState.zeros_like(params)
+        adam_step(out1, grads, st1, TrainHyper())
+        adam_step(out2, grads, st2, TrainHyper())
         for a, b in zip(out1.weights, out2.weights):
             np.testing.assert_array_equal(a, b)
         assert st1.t == st2.t
+
+
+def reference_train(params, x, y, epochs, batch_size, rng_seed, hyper):
+    """train() spelled out on per-layer arrays: one draw_dropout_masks call
+    per batch, forward/backward, and the closed-form Adam update."""
+    spec = params.spec
+    n_layers = len(params.weights)
+    arrays = [a.copy() for a in params.weights + params.biases]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    b1, b2, lr, eps = hyper.beta1, hyper.beta2, hyper.learning_rate, hyper.eps
+    rng = np.random.default_rng(rng_seed)
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), batch_size):
+            idx = order[start : start + batch_size]
+            masks = draw_dropout_masks(spec, rng, len(idx)) if spec.dropout_rate > 0 else None
+            current = NetworkParams(spec, arrays[:n_layers], arrays[n_layers:])
+            grads = backward(current, forward(current, x[idx], masks), y[idx])
+            t += 1
+            for i, g in enumerate(grads.weights + grads.biases):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                arrays[i] = arrays[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    result = NetworkParams(spec, arrays[:n_layers], arrays[n_layers:])
+    residuals = predict(result, x) - y
+    return result, float(np.mean(residuals * residuals))
 
 
 class TestTrain:
@@ -280,6 +370,44 @@ class TestTrain:
             params, _ = train(params, x, y, epochs=1, batch_size=8, rng_seed=step,
                               hyper=TrainHyper(learning_rate=0.01))
             assert params.all_finite(), f"non-finite parameters after step {step}"
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_matches_reference_loop_exactly(self, activation, dropout):
+        # 37 rows in batches of 8 and then 16 end in ragged batches; the
+        # second call starts from the first call's result (warm start)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(37, 3))
+        y = rng.normal(size=37)
+        spec = NetworkSpec([3, 8, 6, 1], dropout_rate=dropout, activation=activation)
+        hyper = TrainHyper(learning_rate=0.01)
+        params = init_params(spec, 4)
+        for batch_size, seed in ((8, 1), (16, 2)):
+            got, got_mse = train(params, x, y, epochs=4, batch_size=batch_size,
+                                 rng_seed=seed, hyper=hyper)
+            want, want_mse = reference_train(params, x, y, epochs=4, batch_size=batch_size,
+                                             rng_seed=seed, hyper=hyper)
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                np.testing.assert_array_equal(a, b)
+            assert got_mse == want_mse
+            params = got
+
+    def test_result_owns_its_memory(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(20, 3))
+        y = rng.normal(size=20)
+        spec = NetworkSpec([3, 5, 1], dropout_rate=0.2)
+        base, _ = train(init_params(spec, 0), x, y, epochs=2, batch_size=8, rng_seed=1)
+        snapshot = base.copy()
+        first, _ = train(base, x, y, epochs=2, batch_size=8, rng_seed=2)
+        second, _ = train(base, x, y, epochs=2, batch_size=8, rng_seed=2)
+        results = [base, first, second]
+        for i, p in enumerate(results):
+            assert all(np.shares_memory(a, p.flat) for a in p.weights + p.biases)
+            for q in results[i + 1 :]:
+                assert not np.shares_memory(p.flat, q.flat)
+        np.testing.assert_array_equal(base.flat, snapshot.flat)
+        np.testing.assert_array_equal(first.flat, second.flat)
 
     def test_empty_labeled_set_rejected(self):
         params = init_params(NetworkSpec([2, 3, 1]), 0)
