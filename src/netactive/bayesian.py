@@ -19,6 +19,7 @@ from .neural import (
 )
 
 MC_GROUP_ROWS = 256  # rows per stacked matrix product when scoring few rows
+MC_TILE_ROWS = 1024  # rows per tile of a large matrix; a multiple of 16
 
 
 @dataclass
@@ -48,9 +49,20 @@ def mc_predict(
     Runs n_passes stochastic forwards with independent masks; the sample
     mean and unbiased sample variance of the passes give the predictive
     mean and epistemic variance of each row.  Each pass draws one mask
-    shared across all rows, so per-row results do not depend on row order
-    or on which other rows are scored with them.  With dropout disabled
-    every pass is the deterministic pass and the variance is exactly zero.
+    shared across all rows, so mathematically a row's result does not
+    depend on row order or on which other rows are scored with it.  With
+    dropout disabled every pass is the deterministic pass and the variance
+    is exactly zero.
+
+    Bitwise, a row's last bit can depend on its place in a stacked matrix
+    product: OpenBLAS blocks rows into micro-kernel panels, and a lone row
+    goes through the matrix-vector path instead.  A matrix of 2 * MC_TILE_ROWS
+    rows or more is therefore scored one row tile at a time, with tiles that
+    start at multiples of MC_TILE_ROWS (itself a multiple of the panel
+    heights) and a last tile that takes the remainder, MC_TILE_ROWS to
+    2 * MC_TILE_ROWS - 1 rows: every row keeps the panel position it has in
+    the whole-matrix product, and no tile is small enough to leave the
+    matrix-matrix path.  A smaller matrix is one tile.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
@@ -61,35 +73,44 @@ def mc_predict(
         means = predict(params, x)
         return means, np.zeros_like(means)
     masks = draw_dropout_masks(spec, np.random.default_rng(rng_seed), n_passes)
-    # Passes run in groups stacked into one (group * n, h) matrix, so a
-    # single row evaluates many passes per matrix product while a large
-    # matrix runs one pass at a time.  Each hidden layer has one activation
-    # buffer, sized to the first group and reused by every group.
-    group = max(1, MC_GROUP_ROWS // n)
+    tile = MC_TILE_ROWS if n >= 2 * MC_TILE_ROWS else n
+    bounds = [*range(0, n - tile + 1, tile), n]
+    # Within a tile, passes run in groups stacked into one (group * rows, h)
+    # matrix, so a single row evaluates many passes per matrix product while
+    # a large tile runs one pass at a time.  Each hidden layer has one
+    # activation buffer, sized to the widest tile's first group and reused
+    # by every tile and group, so a tile's passes stay in cache.
+    width = bounds[-1] - bounds[-2]
+    group = max(1, MC_GROUP_ROWS // width)
     weights, biases, keep = params.weights, params.biases, spec.keep_prob
-    first = _act(x @ weights[0].T + biases[0], spec.activation)
-    hidden = [np.empty((min(group, n_passes), n, h)) for h in spec.hidden_sizes]
+    hidden = [np.empty((min(group, n_passes), width, h)) for h in spec.hidden_sizes]
     outs = np.empty((n_passes, n))
-    for start in range(0, n_passes, group):
-        passes = slice(start, start + group)
-        out = outs[passes]
-        a = hidden[0][: len(out)]
-        np.multiply(first, masks[0][passes, None, :], out=a)
-        np.divide(a, keep, out=a)
-        for layer in range(1, len(hidden)):
-            prev, a = a, hidden[layer][: len(out)]
-            np.matmul(prev.reshape(-1, prev.shape[2]), weights[layer].T,
-                      out=a.reshape(-1, a.shape[2]))
-            np.add(a, biases[layer], out=a)
-            if spec.activation == "relu":
-                np.maximum(a, 0.0, out=a)
-            else:
-                np.tanh(a, out=a)
-            np.multiply(a, masks[layer][passes, None, :], out=a)
-            np.divide(a, keep, out=a)
-        out = out.reshape(-1, 1)
-        np.matmul(a.reshape(-1, a.shape[2]), weights[-1].T, out=out)
-        np.add(out, biases[-1], out=out)
+    for lo, hi in zip(bounds, bounds[1:]):
+        # (a * m) / keep and (a / keep) * m agree bit for bit for m in {0, 1},
+        # so the first layer is divided by keep once per tile, not per pass
+        first = _act(x[lo:hi] @ weights[0].T + biases[0], spec.activation)
+        np.divide(first, keep, out=first)
+        for start in range(0, n_passes, group):
+            passes = slice(start, start + group)
+            # several tiles means one pass per group, so these slices of the
+            # buffers and of the result are contiguous and reshape to views
+            out = outs[passes, lo:hi]
+            a = hidden[0][: len(out), : hi - lo]
+            np.multiply(first, masks[0][passes, None, :], out=a)
+            for layer in range(1, len(hidden)):
+                prev, a = a, hidden[layer][: len(out), : hi - lo]
+                np.matmul(prev.reshape(-1, prev.shape[2]), weights[layer].T,
+                          out=a.reshape(-1, a.shape[2]))
+                np.add(a, biases[layer], out=a)
+                if spec.activation == "relu":
+                    np.maximum(a, 0.0, out=a)
+                else:
+                    np.tanh(a, out=a)
+                np.multiply(a, masks[layer][passes, None, :], out=a)
+                np.divide(a, keep, out=a)
+            out = out.reshape(-1, 1)
+            np.matmul(a.reshape(-1, a.shape[2]), weights[-1].T, out=out)
+            np.add(out, biases[-1], out=out)
     epistemic = outs.var(axis=0, ddof=1) if n_passes > 1 else np.zeros(n)
     return outs.mean(axis=0), epistemic
 

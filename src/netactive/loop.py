@@ -34,6 +34,10 @@ class CollectionUnsupported(OracleError):
     """This oracle cannot gather new samples (no twin world behind it)."""
 
 
+class TrainingDiverged(ArithmeticError):
+    """Training produced non-finite parameters; the run cannot continue."""
+
+
 @dataclass
 class CurveRow:
     iteration: int
@@ -308,7 +312,9 @@ class _LoopState:
             rng_seed=seed, hyper=self.config.hyper,
         )
         if not self.params.all_finite():
-            raise ArithmeticError("training produced non-finite parameters")
+            raise TrainingDiverged(
+                f"training produced non-finite parameters at iteration {iteration}"
+            )
 
     def fit_committee(self, iteration: int, epochs: int) -> None:
         x, y = self.training_data()
@@ -326,6 +332,10 @@ class _LoopState:
                              rng_seed=base_seed + k, hyper=self.config.hyper)
                 members.append(p)
             self.committee = Committee(members=members)
+        if not all(m.all_finite() for m in self.committee.members):
+            raise TrainingDiverged(
+                f"committee training produced non-finite parameters at iteration {iteration}"
+            )
 
     def aleatoric(self) -> float:
         """Mean squared residual (Mbps^2) on the held-out fold."""

@@ -18,6 +18,7 @@ from .loop import (
     PoolOracle,
     StreamPolicy,
     SynthesisPolicy,
+    TrainingDiverged,
     TwinOracle,
     run_pool_loop,
     run_stream_loop,
@@ -31,6 +32,20 @@ from .synth import (
     default_blockage_zones,
     generate_synthetic_dataset,
 )
+
+
+class RunsFailed(RuntimeError):
+    """Some (strategy, seed) runs diverged; every other run's artifacts and
+    the summary were written.  `failures` maps each failed run to its cause."""
+
+    def __init__(self, output_dir: str, failures: dict[tuple[str, int], Exception]):
+        self.failures = failures
+        named = "; ".join(
+            f"{strategy} seed {seed}: {exc}" for (strategy, seed), exc in failures.items()
+        )
+        super().__init__(
+            f"{len(failures)} run(s) failed, the others were written to {output_dir}: {named}"
+        )
 
 
 @dataclass
@@ -229,7 +244,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> d
 
     Outputs one curve CSV and one annotations CSV per run plus a summary
     CSV holding per-seed final RMSEs, their paired differences against the
-    random strategy, and per-strategy mean/std aggregate rows."""
+    random strategy, and per-strategy mean/std aggregate rows.  A run whose
+    training diverges writes no CSVs and a nan summary row; the others
+    still run, and RunsFailed names the failed runs after the summary is
+    written."""
     out = output_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config_resolved.txt"), "w", encoding="utf-8") as fh:
@@ -239,15 +257,22 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> d
     strategies = config.strategy_list()
     seeds = config.seed_list()
     results: dict[tuple[str, int], RunResult] = {}
+    failures: dict[tuple[str, int], Exception] = {}
     for strategy in strategies:
         for seed in seeds:
-            result = run_single(config, corpus, world, strategy, seed)
+            try:
+                result = run_single(config, corpus, world, strategy, seed)
+            except TrainingDiverged as exc:
+                failures[(strategy, seed)] = exc
+                continue
             results[(strategy, seed)] = result
             result.curve.to_csv(os.path.join(out, curve_filename(strategy, seed)))
             write_annotations(result, os.path.join(out, annotations_filename(strategy, seed)))
 
     summary = build_summary(results, strategies, seeds)
     write_summary(summary, os.path.join(out, "summary.csv"))
+    if failures:
+        raise RunsFailed(out, failures)
     return {"results": results, "summary": summary, "output_dir": out}
 
 
@@ -257,54 +282,52 @@ def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
+def _aggregate(reduce, values: np.ndarray) -> float:
+    """np.mean or np.std of the completed runs' values; nan when none completed."""
+    return float(reduce(values)) if len(values) else float("nan")
+
+
 def build_summary(
     results: dict[tuple[str, int], "RunResult"], strategies: list[str], seeds: list[int]
 ) -> list[dict]:
-    """Per-seed rows plus mean/std aggregate rows, paired against random."""
+    """Per-seed rows plus mean/std aggregate rows, paired against random.
+
+    A (strategy, seed) missing from results is a failed run: its row holds
+    nan, it is left out of the mean/std rows, and every paired difference
+    involving it is empty."""
+    nan = float("nan")
     rows = []
     for strategy in strategies:
         finals, initials = [], []
         for seed in seeds:
+            row = {"strategy": strategy, "seed": str(seed), "rmse_initial": nan,
+                   "rmse_final": nan, "rmse_reduction": nan, "rmse_final_minus_random": ""}
+            rows.append(row)
+            if (strategy, seed) not in results:
+                continue
             curve = results[(strategy, seed)].curve
             initial = _sig6(curve.rows[0].test_rmse)
             final = _sig6(curve.final_rmse())
             initials.append(initial)
             finals.append(final)
-            diff = ""
-            if "random" in strategies and strategy != "random":
-                diff = final - _sig6(results[("random", seed)].curve.final_rmse())
+            row.update(rmse_initial=initial, rmse_final=final, rmse_reduction=initial - final)
+            if ("random" in strategies and strategy != "random"
+                    and ("random", seed) in results):
+                random_final = _sig6(results[("random", seed)].curve.final_rmse())
+                row["rmse_final_minus_random"] = final - random_final
+        finals_arr = np.asarray(finals)
+        initials_arr = np.asarray(initials)
+        for stat, reduce in (("mean", np.mean), ("std", np.std)):
             rows.append(
                 {
                     "strategy": strategy,
-                    "seed": str(seed),
-                    "rmse_initial": initial,
-                    "rmse_final": final,
-                    "rmse_reduction": initial - final,
-                    "rmse_final_minus_random": diff,
+                    "seed": stat,
+                    "rmse_initial": _aggregate(reduce, initials_arr),
+                    "rmse_final": _aggregate(reduce, finals_arr),
+                    "rmse_reduction": _aggregate(reduce, initials_arr - finals_arr),
+                    "rmse_final_minus_random": "",
                 }
             )
-        finals_arr = np.asarray(finals)
-        initials_arr = np.asarray(initials)
-        rows.append(
-            {
-                "strategy": strategy,
-                "seed": "mean",
-                "rmse_initial": float(initials_arr.mean()),
-                "rmse_final": float(finals_arr.mean()),
-                "rmse_reduction": float((initials_arr - finals_arr).mean()),
-                "rmse_final_minus_random": "",
-            }
-        )
-        rows.append(
-            {
-                "strategy": strategy,
-                "seed": "std",
-                "rmse_initial": float(initials_arr.std()),
-                "rmse_final": float(finals_arr.std()),
-                "rmse_reduction": float((initials_arr - finals_arr).std()),
-                "rmse_final_minus_random": "",
-            }
-        )
     return rows
 
 
@@ -348,18 +371,26 @@ def export_query_geography(
     for name in files:
         run_tag = name[len("annotations_") : -len(".csv")]
         records = []
-        with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
+        source = os.path.join(run_dir, name)
+        with open(source, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             n_feat = len(header) - 3
             if not (0 <= lon_index < n_feat and 0 <= lat_index < n_feat):
                 raise ValueError(
                     f"feature indices ({lon_index}, {lat_index}) invalid for {n_feat} features"
                 )
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 cells = line.strip().split(",")
+                if len(cells) != len(header):
+                    raise ValueError(
+                        f"{source}, line {lineno}: expected {len(header)} values, "
+                        f"got {len(cells)}"
+                    )
                 records.append(
                     (int(cells[0]), int(cells[1]), cells[3 + lon_index], cells[3 + lat_index])
                 )
+        if not records:
+            raise ValueError(f"{source}: no annotated samples below the header")
         max_iter = max(r[0] for r in records)
         for k in range(max_iter + 1):
             path = os.path.join(out, f"geo_{run_tag}_iter{k}.csv")

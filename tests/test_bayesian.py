@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from netactive.bayesian import Committee, committee_train, mc_predict
+from netactive.bayesian import MC_TILE_ROWS, Committee, committee_train, mc_predict
 from netactive.neural import (
     NetworkParams,
     NetworkSpec,
@@ -54,7 +54,7 @@ def reference_mc(params, x, n_passes, rng_seed):
         forward(params, x, [np.tile(m[t], (len(x), 1)) for m in masks]).activations[-1][:, 0]
         for t in range(n_passes)
     ])
-    return outs.mean(axis=0), outs.var(axis=0, ddof=1)
+    return outs.mean(axis=0), outs.var(axis=0, ddof=1) if n_passes > 1 else np.zeros(len(x))
 
 
 def stacked_reference_mc(params, x, n_passes, rng_seed):
@@ -70,6 +70,17 @@ def stacked_reference_mc(params, x, n_passes, rng_seed):
     )
     outs = forward(rest, first * masks[0] / spec.keep_prob, masks[1:]).activations[-1]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
+
+
+# row counts around the tile boundaries of mc_predict, one and three hidden
+# layers, one pass (zero variance) and fifty
+TILED_CASES = [
+    pytest.param(rows, hidden, passes, id=f"{rows}-h{len(hidden)}-p{passes}")
+    for rows in (2 * MC_TILE_ROWS - 1, 2 * MC_TILE_ROWS, 2 * MC_TILE_ROWS + 1,
+                 3 * MC_TILE_ROWS + 1, 3800)
+    for hidden in ([16], [16, 8, 8])
+    for passes in (1, 50)
+]
 
 
 class TestMcPredict:
@@ -152,19 +163,25 @@ class TestMcPredict:
         )
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("rows", [1, 300])
-    def test_matches_reference_exactly(self, activation, rows):
+    @pytest.mark.parametrize("rows, hidden, passes", [
+        pytest.param(1, [16, 8], 50, id="1"),
+        pytest.param(300, [16, 8], 50, id="300"),
+        *TILED_CASES,
+    ])
+    def test_matches_reference_exactly(self, activation, rows, hidden, passes):
         # 300 rows run one pass at a time, exactly a per-pass loop through
-        # forward(); one row stacks all passes into one matrix, so its
-        # reference stacks them too (a 1-row product can differ in the
-        # last bit from the same row inside a stacked product)
+        # forward(); from 2 * MC_TILE_ROWS rows on, every pass runs tile by
+        # tile, and aligned tiles keep each row's bits as in the whole-matrix
+        # product; one row stacks all passes into one matrix, so its
+        # reference stacks them too (a 1-row product can differ in the last
+        # bit from the same row inside a stacked product)
         params = init_params(
-            NetworkSpec([3, 16, 8, 1], dropout_rate=0.2, activation=activation), 5
+            NetworkSpec([3, *hidden, 1], dropout_rate=0.2, activation=activation), 5
         )
         x = np.random.default_rng(rows).normal(size=(rows, 3))
         reference = stacked_reference_mc if rows == 1 else reference_mc
-        means, variances = mc_predict(params, x, n_passes=50, rng_seed=8)
-        ref_means, ref_vars = reference(params, x, n_passes=50, rng_seed=8)
+        means, variances = mc_predict(params, x, n_passes=passes, rng_seed=8)
+        ref_means, ref_vars = reference(params, x, n_passes=passes, rng_seed=8)
         np.testing.assert_array_equal(means, ref_means)
         np.testing.assert_array_equal(variances, ref_vars)
 

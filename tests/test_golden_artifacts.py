@@ -1,0 +1,76 @@
+"""Byte-level behaviour fingerprint: the seed-0 artifacts of the three shipped
+synthetic configs must hash to the values recorded in CHANGES.md.
+
+Performance work on the kernels promises bit-for-bit identical results; this
+test checks that promise end to end through the CLI.  The hashes depend on
+the BLAS build (OpenBLAS's blocking decides the last bit of a matrix
+product), so the test runs only against the build they were recorded with,
+with one BLAS thread.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BLAS_NAME, BLAS_VERSION = "scipy-openblas", "0.3.31"
+
+GOLDEN = {
+    "synthetic_benchmark": {
+        "annotations_random_seed0.csv":
+            "a9f8fcbc50ff9e4fc01bdf8f34e95cd96659e94849774b42aadcca5af207172b",
+        "annotations_uncertainty_seed0.csv":
+            "7a41fca0c547b62c658be9cc29cdc8dea9839b180d75720254f98ab3714a43ce",
+        "curve_random_seed0.csv":
+            "6a5a3230ccc16cf5eedd759e240cd4479535113764dc9640f30f4dd55c2d1d59",
+        "curve_uncertainty_seed0.csv":
+            "df428d9e652ac668f46c00a7374cea96f2d28d29c7e285126aebb375c950a4ab",
+        "summary.csv": "c15cc433a41eefd9ff2d173da01c0a9362d5552dce2ca3e696867ddb94058bb5",
+    },
+    "synthetic_stream": {
+        "annotations_uncertainty_seed0.csv":
+            "3ac124c962b249169e31cf5b9789b63451898062135a5d503c3fc2d263cc5dbc",
+        "curve_uncertainty_seed0.csv":
+            "419df498b8816263d971082812408c8cd1cf6dd4ee2d287923d9e6b5a73c7cd7",
+        "summary.csv": "9ec17df993690b8b1ae75b7c203c329ccfbb803b15492e79f9740c75ad44a2c9",
+    },
+    "synthetic_synthesis": {
+        "annotations_uncertainty_seed0.csv":
+            "eae920e57d7283065d6a4c78acce1f24beecdf0f1e4c8a32fa2c78717517f93f",
+        "curve_uncertainty_seed0.csv":
+            "06ff9cc20f7998d8c894112168fdc5fcd4a01bd6d6c70405b1e2437971d98040",
+        "summary.csv": "0cbb9563079522be8f4e817ba80dd07f56d0b2f798c7e88d4cc7a85f6e42782e",
+    },
+}
+
+
+def _blas() -> tuple[str, str]:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return blas.get("name", "unknown"), blas.get("version", "unknown")
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN))
+def test_seed0_artifacts_match_recorded_hashes(config, tmp_path):
+    name, version = _blas()
+    if name != BLAS_NAME or not version.startswith(BLAS_VERSION):
+        pytest.skip(f"hashes were recorded with {BLAS_NAME} {BLAS_VERSION}, numpy uses "
+                    f"{name} {version}")
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / config
+    run = subprocess.run(
+        [sys.executable, "-m", "netactive.cli", "run", "--config",
+         os.path.join(ROOT, "configs", f"{config}.cfg"), "--seed", "0", "--output", str(out)],
+        env=env, cwd=ROOT, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    # config_resolved.txt embeds the output directory, so it is not hashed
+    written = sorted(set(os.listdir(out)) - {"config_resolved.txt"})
+    assert written == sorted(GOLDEN[config])
+    hashes = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in written}
+    assert hashes == GOLDEN[config]

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from netactive import loop, seeding
 from netactive.cli import main
 from netactive.config import ExperimentConfig, format_config, parse_config
 from netactive.loop import read_curve_csv
-from netactive.runner import export_query_geography, run_experiment
+from netactive.runner import RunsFailed, build_summary, export_query_geography, run_experiment
 
 
 def fast_config(**overrides):
@@ -35,6 +36,25 @@ def fast_config(**overrides):
 def read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+@pytest.fixture
+def diverge_seed(monkeypatch):
+    """Make training return nan parameters for every run of one master seed."""
+
+    def poison(master_seed):
+        poisoned = {seeding.derive_seed(master_seed, it, seeding.STREAM_TRAIN) for it in range(10)}
+        real_train = loop.train
+
+        def train(params, *args, rng_seed, **kwargs):
+            trained, loss = real_train(params, *args, rng_seed=rng_seed, **kwargs)
+            if rng_seed in poisoned:
+                trained.flat[:] = np.nan
+            return trained, loss
+
+        monkeypatch.setattr(loop, "train", train)
+
+    return poison
 
 
 class TestRunExperiment:
@@ -113,6 +133,68 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="5000 stream arrivals .* only 1872"):
             run_experiment(config, output_dir=str(tmp_path))
 
+    def test_diverged_run_recorded_and_others_complete(self, tmp_path, diverge_seed):
+        diverge_seed(1)
+        with pytest.raises(RunsFailed) as info:
+            run_experiment(fast_config(seeds="0,1,2"), output_dir=str(tmp_path))
+        assert set(info.value.failures) == {("uncertainty", 1), ("random", 1)}
+        assert ("uncertainty seed 1: training produced non-finite parameters at iteration 0"
+                in str(info.value))
+        names = set(os.listdir(tmp_path))
+        for strategy in ("uncertainty", "random"):
+            for prefix in ("curve", "annotations"):
+                assert {f"{prefix}_{strategy}_seed{s}.csv" for s in (0, 2)} <= names
+                assert f"{prefix}_{strategy}_seed1.csv" not in names
+        lines = read(str(tmp_path / "summary.csv")).splitlines()
+        assert lines[0] == (
+            "strategy,seed,rmse_initial,rmse_final,rmse_reduction,rmse_final_minus_random"
+        )
+        rows = {(r[0], r[1]): r[2:] for r in (line.split(",") for line in lines[1:])}
+        assert len(rows) == 10  # 2 strategies x (3 seeds + mean + std)
+        assert rows[("uncertainty", "1")] == ["nan", "nan", "nan", ""]
+        assert rows[("random", "1")] == ["nan", "nan", "nan", ""]
+        finals = {
+            strategy: [read_curve_csv(str(tmp_path / f"curve_{strategy}_seed{s}.csv")).final_rmse()
+                       for s in (0, 2)]
+            for strategy in ("uncertainty", "random")
+        }
+        for strategy, values in finals.items():
+            assert abs(float(rows[(strategy, "mean")][1]) - np.mean(values)) < 1e-9
+            assert abs(float(rows[(strategy, "std")][1]) - np.std(values)) < 1e-9
+        expected = finals["uncertainty"][0] - finals["random"][0]
+        assert abs(float(rows[("uncertainty", "0")][3]) - expected) < 1e-9
+
+    def test_diverged_committee_recorded(self, tmp_path, monkeypatch):
+        real_committee_train = loop.committee_train
+
+        def committee_train(*args, **kwargs):
+            committee = real_committee_train(*args, **kwargs)
+            committee.members[-1].flat[:] = np.inf
+            return committee
+
+        monkeypatch.setattr(loop, "committee_train", committee_train)
+        with pytest.raises(RunsFailed, match="qbc seed 0: committee training produced non-finite"):
+            run_experiment(fast_config(strategies="qbc", seeds="0"), output_dir=str(tmp_path))
+        lines = read(str(tmp_path / "summary.csv")).splitlines()
+        assert lines[1] == "qbc,0,nan,nan,nan,"
+
+    def test_failed_run_leaves_its_pairings_empty(self, tmp_path):
+        # a failed run is one missing from the results
+        outcome = run_experiment(fast_config(seeds="0,1"), output_dir=str(tmp_path))
+        strategies = ["uncertainty", "random"]
+        results = dict(outcome["results"])
+        del results[("random", 1)]
+        rows = {(r["strategy"], r["seed"]): r for r in build_summary(results, strategies, [0, 1])}
+        assert rows[("uncertainty", "1")]["rmse_final_minus_random"] == ""
+        assert rows[("uncertainty", "0")]["rmse_final_minus_random"] != ""
+        assert np.isnan(rows[("random", "1")]["rmse_final"])
+        assert rows[("random", "mean")]["rmse_final"] == rows[("random", "0")]["rmse_final"]
+        assert rows[("random", "std")]["rmse_final"] == 0.0
+        del results[("random", 0)]
+        rows = {(r["strategy"], r["seed"]): r for r in build_summary(results, strategies, [0, 1])}
+        assert np.isnan(rows[("random", "mean")]["rmse_final"])
+        assert np.isnan(rows[("random", "std")]["rmse_reduction"])
+
     def test_synthesis_loop_through_runner(self, tmp_path):
         config = fast_config(loop="synthesis", strategies="uncertainty", seeds="0",
                              iterations=2)
@@ -159,6 +241,22 @@ class TestGeographyExport:
                        output_dir=str(run_dir))
         with pytest.raises(ValueError, match="indices"):
             export_query_geography(str(run_dir), lon_index=0, lat_index=99)
+
+    def _annotations(self, tmp_path, body):
+        header = "iteration_acquired,sample_id,origin,f0,f1\n"
+        (tmp_path / "annotations_uncertainty_seed0.csv").write_text(header + body)
+
+    def test_header_only_annotations_named(self, tmp_path):
+        self._annotations(tmp_path, "")
+        with pytest.raises(ValueError,
+                           match=r"annotations_uncertainty_seed0\.csv: no annotated samples"):
+            export_query_geography(str(tmp_path), lon_index=0, lat_index=1)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        self._annotations(tmp_path, "0,1,labeled,0.5,0.25\n1,2,labeled\n")
+        with pytest.raises(ValueError, match=r"annotations_uncertainty_seed0\.csv, line 3: "
+                                             r"expected 5 values, got 3"):
+            export_query_geography(str(tmp_path), lon_index=0, lat_index=1)
 
 
 class TestCli:
@@ -209,6 +307,14 @@ class TestCli:
         code = main(["geo", "--run", str(out), "--lon-col", "0", "--lat-col", "1"])
         assert code == 0
         assert (out / "geography").is_dir()
+
+    def test_diverged_run_exit_code(self, tmp_path, capsys, diverge_seed):
+        diverge_seed(0)
+        cfg = self._write_config(tmp_path, seeds="0,1", strategies="uncertainty")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+        assert "uncertainty seed 0: training produced non-finite" in capsys.readouterr().err
+        assert (out / "summary.csv").exists() and (out / "curve_uncertainty_seed1.csv").exists()
 
     def test_geo_runtime_error_exit_code(self, tmp_path):
         assert main(["geo", "--run", str(tmp_path), "--lon-col", "0", "--lat-col", "1"]) == 2
