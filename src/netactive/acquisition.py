@@ -10,6 +10,14 @@ import numpy as np
 
 STRATEGIES = ("random", "uncertainty", "qbc", "coreset", "hybrid")
 
+# The AcquisitionInputs arrays each strategy cannot decide without.
+_REQUIRED_INPUTS = {
+    "uncertainty": ("epistemic_std",),
+    "qbc": ("committee_var",),
+    "coreset": ("nearest_labeled",),
+    "hybrid": ("epistemic_std", "nearest_labeled"),
+}
+
 # Cap on the elements of the (n, block, F) difference temporary in
 # _min_distances; about 8 MB of float64 whatever the candidate count.
 _DIST_BLOCK_ELEMENTS = 2**20
@@ -92,25 +100,36 @@ class AcquisitionInputs:
     """Snapshot of model and pool state a strategy needs to score candidates.
 
     Row i of every per-candidate array belongs to candidate_ids[i], and the
-    ids ascend.  Feature vectors are in normalized space.  Which score array
-    must be present depends on the strategy (epistemic_std for
-    uncertainty/hybrid, committee_var for qbc).
+    ids ascend.  Feature vectors are in normalized space.  Which array must
+    be present depends on the strategy: epistemic_std for uncertainty and
+    hybrid, committee_var for qbc, nearest_labeled for coreset and hybrid.
+
+    nearest_labeled[i] is candidate i's Euclidean distance to its nearest
+    labeled point, as _min_distances gives it (inf for every candidate when
+    there is no labeled point).  decide_acquisition never measures distances
+    to the labeled set itself: the caller owns that vector.  run_pool_loop
+    carries it from one cycle to the next for coreset and hybrid and updates
+    only the rows and references that changed; select_core_set computes it
+    from scratch.
     """
 
     candidate_ids: np.ndarray  # (n,) ints, ascending
     candidate_features: np.ndarray  # (n, F)
-    labeled_features: np.ndarray
     epistemic_std: np.ndarray | None = None  # (n,)
     committee_var: np.ndarray | None = None  # (n,)
+    nearest_labeled: np.ndarray | None = None  # (n,), >= 0
     select_seed: int = 0
     hybrid_beta: float = 0.5
 
     def __post_init__(self):
         n = len(self.candidate_ids)
-        for name in ("epistemic_std", "committee_var"):
-            scores = getattr(self, name)
-            if scores is not None and np.shape(scores) != (n,):
-                raise ValueError(f"{name} has shape {np.shape(scores)}, expected ({n},)")
+        for name in ("epistemic_std", "committee_var", "nearest_labeled"):
+            values = getattr(self, name)
+            if values is not None and np.shape(values) != (n,):
+                raise ValueError(f"{name} has shape {np.shape(values)}, expected ({n},)")
+        distances = self.nearest_labeled
+        if distances is not None and not (np.asarray(distances) >= 0.0).all():
+            raise ValueError("nearest_labeled holds negative or nan distances")
 
 
 def rank_uncertainty(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -149,13 +168,21 @@ def select_core_set(
     ascending id.  Candidate ids must ascend.  Returns ids in selection
     order.
     """
+    points = np.asarray(candidate_features, dtype=float)
+    return _greedy_k_center(candidate_ids, points, _min_distances(points, labeled_features), k)
+
+
+def _greedy_k_center(
+    candidate_ids: np.ndarray, points: np.ndarray, nearest_labeled: np.ndarray, k: int
+) -> list[int]:
+    """select_core_set's greedy loop, started from each candidate's distance
+    to the labeled set (not modified)."""
     n = len(candidate_ids)
     if not n:
         raise ValueError("no candidates to select from")
     if not (1 <= k <= n):
         raise ValueError(f"k={k} must lie in [1, {n}]")
-    points = np.asarray(candidate_features, dtype=float)
-    min_d = _min_distances(points, labeled_features)
+    min_d = nearest_labeled
     chosen: list[int] = []
     for _ in range(k):
         pick = int(np.argmax(min_d))  # argmax takes the first (lowest-id) maximum
@@ -223,18 +250,21 @@ def decide_acquisition(
             f"remaining budget {budget.remaining} cannot cover one annotation"
         )
 
+    for name in _REQUIRED_INPUTS.get(strategy, ()):
+        if getattr(inputs, name) is None:
+            raise ValueError(f"strategy {strategy!r} requires {name}")
+
     if strategy == "random":
         chosen = random_select(ids, affordable, inputs.select_seed)
     elif strategy == "coreset":
-        chosen = select_core_set(inputs.labeled_features, ids, inputs.candidate_features, affordable)
+        chosen = _greedy_k_center(
+            ids, inputs.candidate_features, inputs.nearest_labeled, affordable
+        )
     else:
-        needed = "committee_var" if strategy == "qbc" else "epistemic_std"
-        scores = getattr(inputs, needed)
-        if scores is None:
-            raise ValueError(f"strategy {strategy!r} requires {needed} scores")
+        scores = inputs.committee_var if strategy == "qbc" else inputs.epistemic_std
         if strategy == "hybrid":
-            dists = _min_distances(inputs.candidate_features, inputs.labeled_features)
-            if not len(inputs.labeled_features):
+            dists = inputs.nearest_labeled
+            if np.isposinf(dists).all():
                 dists = np.ones(len(ids))  # no labeled set: rank by uncertainty alone
             scores = hybrid_score(scores, dists, inputs.hybrid_beta)
         chosen = rank_uncertainty(ids, scores)[:affordable].tolist()

@@ -16,6 +16,7 @@ from .acquisition import (
     BudgetExhausted,
     CollectPolicy,
     CollectRegion,
+    _min_distances,
     decide_acquisition,
 )
 from .bayesian import Committee, committee_train, mc_predict
@@ -371,6 +372,47 @@ class _LoopState:
             raise AssertionError("test ids leaked into the labeled set")
 
 
+class _NearestLabeled:
+    """Each candidate's distance to its nearest labeled point, carried from
+    one acquisition cycle to the next (coreset and hybrid).
+
+    Between two cycles of the pool loop the labeled set only grows, and the
+    candidate set only loses the ids just labeled and gains collected ones.
+    So an update keeps the rows of candidates seen before, folds in their
+    distances to the newly labeled points with np.minimum, and measures
+    only unseen candidates against the whole labeled set.  A pair's distance
+    does not depend on the other rows or references in the block, and the
+    minimum of correctly rounded square roots is the square root of the
+    minimum, so the vector equals _min_distances from scratch bit for bit.
+    """
+
+    def __init__(self, pool: DataPool):
+        self.pool = pool
+        self.ids = np.zeros(0, dtype=int)  # ascending candidate ids of the last update
+        self.dists = np.zeros(0)
+        self.covered: set[int] = set()  # labeled ids those distances cover
+
+    def update(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Distances for candidates `ids` (ascending) with normalized features `x`."""
+        labeled = self.pool.labeled
+        if not self.covered <= labeled:
+            raise AssertionError("labeled ids left the labeled set between cycles")
+        seen = np.isin(ids, self.ids, assume_unique=True)
+        dists = np.empty(len(ids))
+        if seen.any():
+            kept = self.dists[np.searchsorted(self.ids, ids[seen])]
+            added = sorted(labeled - self.covered)
+            if added:
+                new = _min_distances(x[seen], self.pool.normalized_features(added))
+                kept = np.minimum(kept, new)
+            dists[seen] = kept
+        if not seen.all():
+            refs = self.pool.normalized_features(sorted(labeled))
+            dists[~seen] = _min_distances(x[~seen], refs)
+        self.ids, self.dists, self.covered = ids, dists, set(labeled)
+        return dists
+
+
 # ---------------------------------------------------------------------------
 # Pool-based loop
 # ---------------------------------------------------------------------------
@@ -399,6 +441,7 @@ def run_pool_loop(
     # The scored unlabeled set is the next cycle's candidate set: nothing
     # changes the unlabeled partition between scoring and selection.
     ids, x, stds = state.score_unlabeled(0)
+    nearest = _NearestLabeled(pool) if config.strategy in ("coreset", "hybrid") else None
     curve = LearningCurve()
     curve.append(
         CurveRow(0, len(pool.labeled), oracle.budget.spent, state.rmse(),
@@ -411,9 +454,9 @@ def run_pool_loop(
         inputs = AcquisitionInputs(
             candidate_ids=ids,
             candidate_features=x,
-            labeled_features=pool.normalized_features(sorted(pool.labeled)),
             epistemic_std=stds,
             committee_var=state.committee.disagreement(x) if config.strategy == "qbc" else None,
+            nearest_labeled=nearest.update(ids, x) if nearest else None,
             select_seed=seeding.derive_seed(rng_seed, iteration, seeding.STREAM_SELECT),
             hybrid_beta=config.hybrid_beta,
         )

@@ -386,9 +386,16 @@ def export_query_geography(
                         f"{source}, line {lineno}: expected {len(header)} values, "
                         f"got {len(cells)}"
                     )
-                records.append(
-                    (int(cells[0]), int(cells[1]), cells[3 + lon_index], cells[3 + lat_index])
-                )
+                keys = []
+                for col in (0, 1):  # iteration_acquired, sample_id
+                    try:
+                        keys.append(int(cells[col]))
+                    except ValueError:
+                        raise ValueError(
+                            f"{source}, line {lineno}: {header[col]} {cells[col]!r} "
+                            "is not an integer"
+                        ) from None
+                records.append((*keys, cells[3 + lon_index], cells[3 + lat_index]))
         if not records:
             raise ValueError(f"{source}: no annotated samples below the header")
         max_iter = max(r[0] for r in records)

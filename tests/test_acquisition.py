@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from netactive.acquisition import (
     BudgetError,
     BudgetExhausted,
     CollectPolicy,
+    _min_distances,
     decide_acquisition,
     hybrid_score,
     random_select,
@@ -199,11 +201,12 @@ def uniform_inputs(n, seed=0, scores=None, points=None):
     candidates = rng.normal(size=(n, 2))
     labeled = rng.normal(size=(4, 2))
     stds = rng.random(n) if scores is None else np.array([scores[i] for i in range(n)])
+    points = candidates if points is None else points
     return AcquisitionInputs(
         candidate_ids=np.arange(n),
-        candidate_features=candidates if points is None else points,
-        labeled_features=labeled,
+        candidate_features=points,
         epistemic_std=stds,
+        nearest_labeled=_min_distances(points, labeled),
         select_seed=7,
     )
 
@@ -298,10 +301,11 @@ class TestDecideAcquisition:
 
     def test_hybrid_strategy_blends(self):
         rng = np.random.default_rng(4)
+        candidates = rng.normal(size=(12, 2))
         inputs = AcquisitionInputs(
             candidate_ids=np.arange(12),
-            candidate_features=rng.normal(size=(12, 2)),
-            labeled_features=rng.normal(size=(3, 2)),
+            candidate_features=candidates,
+            nearest_labeled=_min_distances(candidates, rng.normal(size=(3, 2))),
             epistemic_std=rng.random(12),
             hybrid_beta=0.5,
         )
@@ -311,10 +315,44 @@ class TestDecideAcquisition:
 
     def test_coreset_strategy_uses_distances(self):
         labeled = np.array([[0.0, 0.0]])
+        candidates = np.array([[1.0, 0.0], [0.9, 0.0], [0.0, 2.0]])
         inputs = AcquisitionInputs(
             candidate_ids=np.arange(3),
-            candidate_features=np.array([[1.0, 0.0], [0.9, 0.0], [0.0, 2.0]]),
-            labeled_features=labeled,
+            candidate_features=candidates,
+            nearest_labeled=_min_distances(candidates, labeled),
         )
         decision = decide_acquisition("coreset", inputs, 1, Budget(total=10.0))
         assert decision.annotate_ids == [2]
+
+    @pytest.mark.parametrize(
+        "distances",
+        [np.ones(4), np.array([0.1, -0.2, 0.3, 0.4, 0.5]), np.array([0.1, np.nan, 0.3, 0.4, 0.5])],
+        ids=["misshaped", "negative", "nan"],
+    )
+    def test_bad_nearest_labeled_rejected(self, distances):
+        with pytest.raises(ValueError, match="nearest_labeled"):
+            AcquisitionInputs(
+                candidate_ids=np.arange(5),
+                candidate_features=np.zeros((5, 2)),
+                epistemic_std=np.ones(5),
+                nearest_labeled=distances,
+            )
+
+    @pytest.mark.parametrize("strategy", ["coreset", "hybrid"])
+    def test_distance_strategies_require_nearest_labeled(self, strategy):
+        inputs = dataclasses.replace(uniform_inputs(5), nearest_labeled=None)
+        with pytest.raises(ValueError, match="nearest_labeled"):
+            decide_acquisition(strategy, inputs, batch_size=2, budget=Budget(total=10.0))
+
+    def test_uncertainty_requires_epistemic_std(self):
+        inputs = dataclasses.replace(uniform_inputs(5), epistemic_std=None)
+        with pytest.raises(ValueError, match="epistemic_std"):
+            decide_acquisition("uncertainty", inputs, batch_size=2, budget=Budget(total=10.0))
+
+    def test_hybrid_without_labeled_set_ranks_by_uncertainty(self):
+        inputs = uniform_inputs(10, seed=3)
+        inputs.nearest_labeled = _min_distances(inputs.candidate_features, np.zeros((0, 2)))
+        assert np.isposinf(inputs.nearest_labeled).all()
+        hybrid = decide_acquisition("hybrid", inputs, 4, Budget(total=100.0))
+        uncertainty = decide_acquisition("uncertainty", inputs, 4, Budget(total=100.0))
+        assert hybrid.annotate_ids == uncertainty.annotate_ids

@@ -1,5 +1,6 @@
 """Byte-level behaviour fingerprint: the seed-0 artifacts of the three shipped
-synthetic configs must hash to the values recorded in CHANGES.md.
+synthetic configs, and of short coreset and hybrid runs of the benchmark
+config, must hash to the values recorded in CHANGES.md.
 
 Performance work on the kernels promises bit-for-bit identical results; this
 test checks that promise end to end through the CLI.  The hashes depend on
@@ -45,6 +46,28 @@ GOLDEN = {
             "06ff9cc20f7998d8c894112168fdc5fcd4a01bd6d6c70405b1e2437971d98040",
         "summary.csv": "0cbb9563079522be8f4e817ba80dd07f56d0b2f798c7e88d4cc7a85f6e42782e",
     },
+    # No shipped config runs the distance-based strategies.
+    "synthetic_benchmark_coreset": {
+        "annotations_coreset_seed0.csv":
+            "09b502f0b2f578847cd694624f48a1ca884f0ae2988d25ea52f3ddc4243c0f26",
+        "curve_coreset_seed0.csv":
+            "fa705593a36a9f953099c477ba8242b13e2f4dd23dfd42e7cfc01c307426d701",
+        "summary.csv": "ad0727402de03d010bc0a33406b78e684170007f925c899bb2b71f4b46d47d61",
+    },
+    "synthetic_benchmark_hybrid": {
+        "annotations_hybrid_seed0.csv":
+            "e65157955e7f9db5b0f732b3ac63eecb91c471151d947fe118adca16cb90af66",
+        "curve_hybrid_seed0.csv":
+            "0f5a82b787172f2412c38d46eb74b9533cfd1f60228dfaf33778e8a14af18136",
+        "summary.csv": "06caa618f8fd8c6cf465efc8343d58f4dbc2f71ff258c6d60e83da67a19249cf",
+    },
+}
+
+# case -> (config, CLI overrides); any other case runs its shipped config as is
+OVERRIDES = {
+    f"synthetic_benchmark_{strategy}":
+        ("synthetic_benchmark", ["--strategy", strategy, "--iterations", "3"])
+    for strategy in ("coreset", "hybrid")
 }
 
 
@@ -53,8 +76,8 @@ def _blas() -> tuple[str, str]:
     return blas.get("name", "unknown"), blas.get("version", "unknown")
 
 
-@pytest.mark.parametrize("config", sorted(GOLDEN))
-def test_seed0_artifacts_match_recorded_hashes(config, tmp_path):
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_seed0_artifacts_match_recorded_hashes(case, tmp_path):
     name, version = _blas()
     if name != BLAS_NAME or not version.startswith(BLAS_VERSION):
         pytest.skip(f"hashes were recorded with {BLAS_NAME} {BLAS_VERSION}, numpy uses "
@@ -62,15 +85,17 @@ def test_seed0_artifacts_match_recorded_hashes(config, tmp_path):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = tmp_path / config
+    config, overrides = OVERRIDES.get(case, (case, []))
+    out = tmp_path / case
     run = subprocess.run(
         [sys.executable, "-m", "netactive.cli", "run", "--config",
-         os.path.join(ROOT, "configs", f"{config}.cfg"), "--seed", "0", "--output", str(out)],
+         os.path.join(ROOT, "configs", f"{config}.cfg"), "--seed", "0", "--output", str(out),
+         *overrides],
         env=env, cwd=ROOT, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
     # config_resolved.txt embeds the output directory, so it is not hashed
     written = sorted(set(os.listdir(out)) - {"config_resolved.txt"})
-    assert written == sorted(GOLDEN[config])
+    assert written == sorted(GOLDEN[case])
     hashes = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in written}
-    assert hashes == GOLDEN[config]
+    assert hashes == GOLDEN[case]

@@ -337,6 +337,66 @@ class TestPoolLoop:
         assert curves[0].rows[-1].labeled_count == curves[0].rows[0].labeled_count + 8
 
 
+def capture_decisions(monkeypatch, pool):
+    """Record each cycle's AcquisitionInputs with the labeled features at
+    that moment, through the loop's own decide_acquisition."""
+    from netactive import loop
+
+    seen = []
+    real = loop.decide_acquisition
+
+    def capture(strategy, inputs, *args, **kwargs):
+        seen.append((inputs, pool.normalized_features(sorted(pool.labeled))))
+        return real(strategy, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(loop, "decide_acquisition", capture)
+    return seen
+
+
+class TestNearestLabeledCache:
+    @pytest.mark.parametrize("warm_start", [True, False])
+    @pytest.mark.parametrize("strategy", ["coreset", "hybrid"])
+    def test_carried_distances_equal_from_scratch(self, monkeypatch, strategy, warm_start):
+        from netactive.acquisition import _min_distances
+
+        world = small_world()
+        pool = small_pool(world=world)
+        oracle = TwinOracle(pool, Budget(total=1000.0), world, rng_seed=9)
+        seen = capture_decisions(monkeypatch, pool)
+        config = small_config(
+            strategy=strategy, iterations=4, warm_start=warm_start,
+            collect_policy=CollectPolicy(enabled=True, collect_fraction=0.5),
+        )
+        run_pool_loop(config, pool, oracle, rng_seed=0)
+        assert len(seen) == 4
+        for inputs, labeled in seen:
+            expected = _min_distances(inputs.candidate_features, labeled)
+            assert np.array_equal(inputs.nearest_labeled, expected)
+        # collected samples joined the candidates after the first cycle
+        assert seen[-1][0].candidate_ids.max() > seen[0][0].candidate_ids.max()
+
+    @pytest.mark.parametrize("strategy", ["uncertainty", "random", "qbc"])
+    def test_other_strategies_measure_no_distances(self, monkeypatch, strategy):
+        from netactive import acquisition, loop
+
+        def forbidden(*args):
+            raise AssertionError("distance kernel called")
+
+        monkeypatch.setattr(loop, "_min_distances", forbidden)
+        monkeypatch.setattr(acquisition, "_min_distances", forbidden)
+        world = small_world()
+        pool = small_pool(world=world)
+        oracle = TwinOracle(pool, Budget(total=1000.0), world, rng_seed=9)
+        seen = capture_decisions(monkeypatch, pool)
+        config = small_config(
+            strategy=strategy, iterations=3, qbc_members=2,
+            collect_policy=CollectPolicy(enabled=True, collect_fraction=0.5),
+        )
+        run_pool_loop(config, pool, oracle, rng_seed=0)
+        assert len(seen) == 3
+        assert all(inputs.nearest_labeled is None for inputs, _ in seen)
+
+
 class TestStreamLoop:
     def _run(self, policy, budget_total=1000.0, n_arrivals=120, seed=0, **config_overrides):
         world = small_world()

@@ -258,6 +258,16 @@ class TestGeographyExport:
                                              r"expected 5 values, got 3"):
             export_query_geography(str(tmp_path), lon_index=0, lat_index=1)
 
+    @pytest.mark.parametrize("body, line, column, cell", [
+        ("x,1,labeled,0.5,0.25\n", 2, "iteration_acquired", "x"),
+        ("0,1,labeled,0.5,0.25\n1,2.5,labeled,0.5,0.25\n", 3, "sample_id", "2.5"),
+    ], ids=["iteration_acquired", "sample_id"])
+    def test_non_integer_cell_names_file_and_line(self, tmp_path, body, line, column, cell):
+        self._annotations(tmp_path, body)
+        with pytest.raises(ValueError, match=rf"annotations_uncertainty_seed0\.csv, line {line}: "
+                                             rf"{column} '{cell}' is not an integer"):
+            export_query_geography(str(tmp_path), lon_index=0, lat_index=1)
+
 
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
