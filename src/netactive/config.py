@@ -6,6 +6,9 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+from .acquisition import STRATEGIES
+from .neural import ACTIVATIONS
+
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration; maps to CLI exit code 1."""
@@ -90,7 +93,7 @@ _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True
 _CHOICES = {
     "data_source": ("synthetic", "csv"),
     "loop": ("pool", "stream", "synthesis"),
-    "activation": ("relu", "tanh"),
+    "activation": ACTIVATIONS,
 }
 
 # key -> (low, high, low_inclusive, high_inclusive); None means unbounded
@@ -132,9 +135,6 @@ _RANGES = {
     "candidate_multiple": (1, None, True, True),
     "probe_size": (1, None, True, True),
 }
-
-_VALID_STRATEGIES = ("random", "uncertainty", "qbc", "coreset", "hybrid")
-
 
 def _parse_value(key: str, raw: str, kind: type, line_no: int):
     try:
@@ -179,9 +179,9 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
         if getattr(config, key) not in choices:
             raise ConfigError(f"{source}: key {key!r} must be one of {choices}")
     for strategy in config.strategy_list():
-        if strategy not in _VALID_STRATEGIES:
+        if strategy not in STRATEGIES:
             raise ConfigError(
-                f"{source}: unknown strategy {strategy!r}; expected one of {_VALID_STRATEGIES}"
+                f"{source}: unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
     if not config.strategy_list():
         raise ConfigError(f"{source}: strategies must name at least one strategy")
@@ -212,7 +212,6 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
 
 def parse_config(path: str) -> ExperimentConfig:
     """Parse a flat key=value file; `#` starts a comment, unknown keys error."""
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
     types = {f.name: type(getattr(ExperimentConfig(), f.name)) for f in fields(ExperimentConfig)}
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -223,7 +222,7 @@ def parse_config(path: str) -> ExperimentConfig:
             if "=" not in body:
                 raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
             key, raw = (part.strip() for part in body.split("=", 1))
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}: line {line_no}: duplicate key {key!r}")

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 ORIGIN_INGESTED = "ingested"
 ORIGIN_COLLECTED = "collected"
 ORIGIN_SYNTHESIZED = "synthesized"
-VALID_ORIGINS = frozenset({ORIGIN_INGESTED, ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED})
+ORIGINS = (ORIGIN_INGESTED, ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED)  # index = origin code
 
 STD_FLOOR = 1e-8
 
@@ -30,9 +29,11 @@ class Sample:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
+        if self.id < 0:
+            raise ValueError(f"sample {self.id}: ids must be non-negative")
         if self.features.ndim != 1:
             raise ValueError(f"sample {self.id}: features must be a 1-D vector")
-        if self.origin not in VALID_ORIGINS:
+        if self.origin not in ORIGINS:
             raise ValueError(f"sample {self.id}: unknown origin {self.origin!r}")
         if self.label is not None:
             label = float(self.label)
@@ -57,8 +58,8 @@ class Normalizer:
         self.stds = np.asarray(self.stds, dtype=float)
         if self.means.shape != self.stds.shape or self.means.ndim != 1:
             raise ValueError("means and stds must be 1-D vectors of equal length")
-        if np.any(self.stds <= 0.0):
-            raise ValueError("all stds must be positive")
+        if not (np.isfinite(self.means).all() and np.all(np.isfinite(self.stds) & (self.stds > 0))):
+            raise ValueError("means must be finite, and all stds finite and positive")
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.means) / self.stds
@@ -67,13 +68,44 @@ class Normalizer:
         return np.asarray(x, dtype=float) * self.stds + self.means
 
 
-class DataPool:
-    """Disjoint labeled / unlabeled / test partition over a sample store.
+# Partition codes.  Row i of a pool's columns belongs to sample id i, and a
+# row whose code is _ABSENT holds no sample.
+_ABSENT, _LABELED, _UNLABELED, _TEST = 0, 1, 2, 3
+# Every column's dtype and the value it holds in an absent row.
+_COLUMNS = {"_features": (float, 0.0), "_label": (float, np.nan), "_truth": (float, np.nan),
+            "_origin": (np.int8, 0), "_iteration": (np.int64, -1), "_part": (np.int8, _ABSENT)}
 
-    Ground-truth labels of unlabeled samples are hidden at construction
-    time: they can only be retrieved through an oracle (which charges the
-    budget), never by reading the stored sample.  The test partition is
-    frozen for the lifetime of the pool.
+
+class _SampleView(Mapping):
+    """Read-only id -> Sample map over a pool's rows, built on access.  It names
+    its label column rather than holding it, because growth replaces the arrays."""
+
+    def __init__(self, pool: DataPool, labels: str = "_label"):
+        self._pool, self._labels = pool, labels
+
+    def __getitem__(self, sample_id: int) -> Sample:
+        pool = self._pool
+        if pool._code(sample_id) == _ABSENT:
+            raise KeyError(sample_id)
+        label, iteration = getattr(pool, self._labels)[sample_id], pool._iteration[sample_id]
+        return Sample(int(sample_id), pool._features[sample_id].copy(),
+                      None if np.isnan(label) else float(label),
+                      ORIGINS[pool._origin[sample_id]], None if iteration < 0 else int(iteration))
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self._pool._part).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._pool._part))
+
+
+class DataPool:
+    """Disjoint labeled / unlabeled / test partition over a column store.
+
+    A row holds the raw features, the visible label (nan while hidden), the
+    ground truth, an origin code (index into ORIGINS), the acquisition
+    iteration (-1 for none) and one partition code.  An oracle alone reveals
+    hidden ground truth; no operation changes the test partition.
     """
 
     def __init__(
@@ -82,32 +114,60 @@ class DataPool:
         labeled: Iterable[int],
         unlabeled: Iterable[int],
         test: Iterable[int],
-        hidden_labels: Mapping[int, float] | None = None,
         normalizer: Normalizer | None = None,
     ):
-        self.samples: dict[int, Sample] = {s.id: s for s in samples}
-        self.labeled: set[int] = set(labeled)
-        self.unlabeled: set[int] = set(unlabeled)
-        self.test: frozenset[int] = frozenset(test)
-        self._hidden: dict[int, float] = dict(hidden_labels or {})
+        samples = list(samples)
+        ids = np.array([s.id for s in samples], dtype=np.int64)
+        repeated = ids[np.bincount(ids)[ids] > 1]
+        if len(repeated):
+            raise ValueError(f"duplicate sample id {repeated[0]}")
+        n = self._next_id = int(ids.max()) + 1 if len(ids) else 0
+        width = len(samples[0].features) if samples else 0
+        for name, (dtype, fill) in _COLUMNS.items():
+            setattr(self, name, np.full((n, width) if name == "_features" else n, fill, dtype))
+        codes = np.zeros(n, np.int8)  # each sample's requested partition
+        for code, part in zip((_LABELED, _UNLABELED, _TEST), (labeled, unlabeled, test)):
+            part = np.unique(np.fromiter(part, dtype=np.int64))
+            unknown = np.setdiff1d(part, ids)
+            if len(unknown):
+                raise AssertionError(f"partition references unknown ids: {unknown[:5].tolist()}")
+            if codes[part].any():
+                raise AssertionError("labeled/unlabeled/test sets are not disjoint")
+            codes[part] = code
+        if not codes[ids].all():
+            raise ValueError(f"sample {ids[codes[ids] == _ABSENT][0]} is in no partition")
+        for sample, code in zip(samples, codes[ids].tolist()):
+            self._add(sample, code)
         self.normalizer = normalizer
-        self._next_id = max(self.samples) + 1 if self.samples else 0
-        self.check_invariants()
 
-    # -- queries ---------------------------------------------------------
+    def _reserve(self, rows: int) -> None:
+        """Grow every column to >= `rows` rows, by at least 1/8: amortized O(1) per sample."""
+        if rows > len(self._part):
+            rows = max(rows, len(self._part) * 9 // 8)
+            for name, (dtype, fill) in _COLUMNS.items():
+                old = getattr(self, name)
+                setattr(self, name, np.full((rows, *old.shape[1:]), fill, dtype))
+                getattr(self, name)[: len(old)] = old
+
+    def _code(self, sample_id: int) -> int:
+        return int(self._part[sample_id]) if 0 <= sample_id < len(self._part) else _ABSENT
+
+    labeled = property(lambda self: np.flatnonzero(self._part == _LABELED))  # ascending ids
+    unlabeled = property(lambda self: np.flatnonzero(self._part == _UNLABELED))  # ascending ids
+    test = property(lambda self: np.flatnonzero(self._part == _TEST))  # ascending ids
+    samples = property(_SampleView)
 
     @property
     def n_features(self) -> int:
-        if not self.samples:
-            raise ValueError("empty pool has no feature dimension")
-        return len(next(iter(self.samples.values())).features)
+        return self._features.shape[1]
 
     def feature_matrix(self, ids: Sequence[int]) -> np.ndarray:
-        """Stack feature vectors for `ids`, preserving the given order."""
-        ids = list(ids)
-        if not ids:
-            return np.zeros((0, self.n_features))
-        return np.stack([self.samples[i].features for i in ids])
+        """Raw feature rows for `ids`, preserving the given order."""
+        ids = np.asarray(ids, dtype=np.int64)
+        absent = ids[self._part[ids] == _ABSENT]
+        if len(absent):
+            raise KeyError(f"no sample with id {absent[0]}")
+        return self._features[ids]
 
     def normalized_features(self, ids: Sequence[int]) -> np.ndarray:
         if self.normalizer is None:
@@ -115,22 +175,18 @@ class DataPool:
         return self.normalizer.normalize(self.feature_matrix(ids))
 
     def labels_of(self, ids: Sequence[int]) -> np.ndarray:
-        out = []
-        for i in ids:
-            label = self.samples[i].label
-            if label is None:
-                raise ValueError(f"sample {i} has no visible label")
-            out.append(label)
-        return np.asarray(out, dtype=float)
+        labels = self._label[np.asarray(ids, dtype=np.int64)]
+        hidden = np.isnan(labels)
+        if hidden.any():
+            raise ValueError(f"sample {np.asarray(ids)[hidden][0]} has no visible label")
+        return labels
 
     def has_hidden_label(self, sample_id: int) -> bool:
-        return sample_id in self._hidden
-
-    # -- mutation (engine-mediated) ---------------------------------------
+        return self._code(sample_id) == _UNLABELED and not np.isnan(self._truth[sample_id])
 
     @property
     def next_id(self) -> int:
-        """The id allocate_id hands out next."""
+        """The id allocate_id hands out next, above every id the pool has held."""
         return self._next_id
 
     def allocate_id(self) -> int:
@@ -140,56 +196,60 @@ class DataPool:
 
     def take_hidden_label(self, sample_id: int) -> float:
         """Remove and return the hidden ground truth for an unlabeled id."""
-        if sample_id not in self._hidden:
+        if not self.has_hidden_label(sample_id):
             raise KeyError(f"no hidden label for sample {sample_id}")
-        return self._hidden.pop(sample_id)
+        label, self._truth[sample_id] = float(self._truth[sample_id]), np.nan
+        return label
 
     def add_unlabeled(self, sample: Sample) -> None:
-        """Register a new sample in the unlabeled partition.
-
-        If the sample carries a label it is moved into the hidden store so
-        that only an oracle can reveal it.
-        """
-        if sample.id in self.samples:
-            raise ValueError(f"sample id {sample.id} already present")
-        if sample.label is not None:
-            self._hidden[sample.id] = sample.label
-            sample = dataclasses.replace(sample, label=None)
-        self.samples[sample.id] = sample
-        self.unlabeled.add(sample.id)
-        self._next_id = max(self._next_id, sample.id + 1)
+        """Register a new unlabeled sample; a label it carries becomes hidden truth."""
+        self._add(sample, _UNLABELED)
 
     def add_labeled(self, sample: Sample) -> None:
-        if sample.id in self.samples:
-            raise ValueError(f"sample id {sample.id} already present")
-        if sample.label is None:
+        self._add(sample, _LABELED)
+
+    def _add(self, sample: Sample, code: int) -> None:
+        sid = sample.id
+        if self._code(sid) != _ABSENT:
+            raise ValueError(f"sample id {sid} already present")
+        if code == _LABELED and sample.label is None:
             raise ValueError("labeled sample requires a label")
-        self.samples[sample.id] = sample
-        self.labeled.add(sample.id)
-        self._next_id = max(self._next_id, sample.id + 1)
+        if len(sample.features) != self.n_features:
+            raise ValueError(f"sample {sid}: inconsistent feature lengths")
+        if not np.isfinite(sample.features).all():
+            raise ValueError(f"sample {sid}: non-finite features")
+        self._reserve(sid + 1)
+        self._features[sid] = sample.features
+        self._truth[sid] = np.nan if sample.label is None else sample.label
+        self._label[sid] = np.nan if code == _UNLABELED else self._truth[sid]
+        self._origin[sid] = ORIGINS.index(sample.origin)
+        iteration = sample.iteration_acquired
+        self._iteration[sid] = -1 if iteration is None else iteration
+        self._part[sid] = code
+        self._next_id = max(self._next_id, sid + 1)
 
     def mark_labeled(self, sample_id: int, label: float, iteration: int) -> None:
         """Move an unlabeled sample into the labeled partition."""
-        if sample_id not in self.unlabeled:
+        if self._code(sample_id) != _UNLABELED:
             raise ValueError(f"sample {sample_id} is not in the unlabeled set")
-        sample = self.samples[sample_id]
-        sample.label = float(label)
-        sample.iteration_acquired = iteration
-        self.unlabeled.discard(sample_id)
-        self.labeled.add(sample_id)
+        self._label[sample_id] = self._truth[sample_id] = float(label)
+        self._iteration[sample_id] = iteration
+        self._part[sample_id] = _LABELED
+
+    def detach_unlabeled(self) -> dict[int, Sample]:
+        """Remove every unlabeled sample and return them by id, each carrying
+        its ground truth as label.  next_id does not move."""
+        ids, records = self.unlabeled, _SampleView(self, "_truth")
+        detached = {sid: records[sid] for sid in ids.tolist()}
+        self._part[ids] = _ABSENT
+        return detached
 
     def check_invariants(self) -> None:
-        sets = [self.labeled, self.unlabeled, set(self.test)]
-        total = sum(len(s) for s in sets)
-        union = set().union(*sets)
-        if len(union) != total:
-            raise AssertionError("labeled/unlabeled/test sets are not disjoint")
-        missing = union - set(self.samples)
-        if missing:
-            raise AssertionError(f"partition references unknown ids: {sorted(missing)[:5]}")
-        lengths = {len(s.features) for s in self.samples.values()}
-        if len(lengths) > 1:
-            raise AssertionError(f"inconsistent feature lengths: {sorted(lengths)}")
+        """A labeled sample shows its label, an unlabeled one hides it."""
+        shown = ~np.isnan(self._label)
+        wrong = np.where(self._part == _LABELED, ~shown, shown & (self._part == _UNLABELED))
+        if wrong.any():
+            raise AssertionError(f"sample {np.argmax(wrong)}: visible label contradicts partition")
 
 
 @dataclass
@@ -272,7 +332,6 @@ def load_csv(
 
     samples: list[Sample] = []
     rejected = 0
-    target_idx = col_index[target_column]
     for row_num, row in enumerate(rows, start=2):  # header is line 1
         cells = {}
         missing = False
@@ -335,21 +394,11 @@ def split_pool(
         )
 
     order = np.random.default_rng(rng_seed).permutation(n)
-    test_ids = {samples[i].id for i in order[:n_test]}
-    labeled_ids = {samples[i].id for i in order[n_test : n_test + n_labeled]}
-    unlabeled_ids = {samples[i].id for i in order[n_test + n_labeled :]}
-
-    store: list[Sample] = []
-    hidden: dict[int, float] = {}
-    for s in samples:
-        if s.id in unlabeled_ids:
-            hidden[s.id] = s.label
-            store.append(dataclasses.replace(s, label=None))
-        elif s.id in labeled_ids:
-            store.append(dataclasses.replace(s, iteration_acquired=0))
-        else:
-            store.append(dataclasses.replace(s))
-    return DataPool(store, labeled_ids, unlabeled_ids, test_ids, hidden_labels=hidden)
+    ids = np.array([s.id for s in samples], dtype=np.int64)[order]
+    test, labeled, unlabeled = np.split(ids, [n_test, n_test + n_labeled])
+    pool = DataPool(samples, labeled, unlabeled, test)
+    pool._iteration[pool.labeled] = 0  # the seed counts as acquired before the first cycle
+    return pool
 
 
 def fit_normalizer(pool: DataPool) -> Normalizer:
@@ -358,8 +407,8 @@ def fit_normalizer(pool: DataPool) -> Normalizer:
     Test features are excluded: they stand in for unseen traffic.  Standard
     deviations are clamped below at STD_FLOOR so constant features map to 0.
     """
-    ids = sorted(pool.labeled | pool.unlabeled)
-    if not ids:
+    ids = np.union1d(pool.labeled, pool.unlabeled)
+    if not len(ids):
         raise ValueError("pool has no labeled or unlabeled samples to fit on")
     x = pool.feature_matrix(ids)
     means = x.mean(axis=0)

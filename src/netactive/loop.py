@@ -168,10 +168,8 @@ class PoolOracle:
         self.budget = budget
 
     def annotate(self, sample_id: int) -> float:
-        if sample_id not in self.pool.unlabeled:
-            raise OracleError(f"sample {sample_id} is not unlabeled; refusing to annotate")
         if not self.pool.has_hidden_label(sample_id):
-            raise OracleError(f"no ground truth available for sample {sample_id}")
+            raise OracleError(f"sample {sample_id} is not unlabeled or has no ground truth")
         self.budget.charge(self.budget.annotation_cost)
         return self.pool.take_hidden_label(sample_id)
 
@@ -262,18 +260,18 @@ class _LoopState:
         self.master_seed = master_seed
         if pool.normalizer is None:
             pool.normalizer = fit_normalizer(pool)
-        if not pool.labeled:
+        if not len(pool.labeled):
             raise ValueError("pool needs a non-empty labeled seed")
-        if not pool.test:
+        if not len(pool.test):
             raise ValueError("pool needs a non-empty test set")
         # A fixed slice of the initial seed is reserved for aleatoric
         # estimation and never trained on, so its residuals stay out of fold.
-        seed_ids = sorted(pool.labeled)
+        seed_ids = pool.labeled
         n_val = math.floor(len(seed_ids) * config.aleatoric_val_fraction)
         order = np.random.default_rng(
             seeding.derive_seed(master_seed, seeding.STREAM_ALEATORIC)
         ).permutation(len(seed_ids))
-        self.val_ids = sorted(seed_ids[i] for i in order[:n_val])
+        self.val_ids = np.sort(seed_ids[order[:n_val]])
         # Targets are standardized against the seed labels (fixed for the
         # whole run): training is scale-free while every reported quantity
         # stays in Mbps.
@@ -284,12 +282,11 @@ class _LoopState:
             config.spec, seeding.derive_seed(master_seed, seeding.STREAM_INIT)
         )
         self.committee: Committee | None = None
-        self.test_ids = sorted(pool.test)
-        self.x_test = pool.normalized_features(self.test_ids)
-        self.y_test = pool.labels_of(self.test_ids)
+        self.x_test = pool.normalized_features(pool.test)  # the test partition never changes
+        self.y_test = pool.labels_of(pool.test)
 
     def training_data(self) -> tuple[np.ndarray, np.ndarray]:
-        ids = sorted(self.pool.labeled - set(self.val_ids))
+        ids = np.setdiff1d(self.pool.labeled, self.val_ids)
         y = self.pool.labels_of(ids)
         return self.pool.normalized_features(ids), (y - self.label_mean) / self.label_std
 
@@ -340,7 +337,7 @@ class _LoopState:
 
     def aleatoric(self) -> float:
         """Mean squared residual (Mbps^2) on the held-out fold."""
-        ids = self.val_ids if self.val_ids else sorted(self.pool.labeled)
+        ids = self.val_ids if len(self.val_ids) else self.pool.labeled
         x = self.pool.normalized_features(ids)
         residuals = self.predict_mbps(x) - self.pool.labels_of(ids)
         return float(np.mean(residuals * residuals))
@@ -354,22 +351,12 @@ class _LoopState:
         return np.sqrt(epi_var) * self.label_std
 
     def score_unlabeled(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted unlabeled ids, their normalized features and their
+        """Ascending unlabeled ids, their normalized features and their
         epistemic standard deviations (Mbps)."""
-        ids = sorted(self.pool.unlabeled)
+        ids = self.pool.unlabeled
         x = self.pool.normalized_features(ids)
-        stds = np.zeros(0)
-        if ids:
-            seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_SCORE)
-            stds = self.epistemic_std_mbps(x, seed)
-        return np.array(ids, dtype=int), x, stds
-
-    def check_hygiene(self) -> None:
-        self.pool.check_invariants()
-        if self.pool.test != frozenset(self.test_ids):
-            raise AssertionError("test partition changed during the run")
-        if self.pool.labeled & set(self.test_ids):
-            raise AssertionError("test ids leaked into the labeled set")
+        seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_SCORE)
+        return ids, x, self.epistemic_std_mbps(x, seed)
 
 
 class _NearestLabeled:
@@ -390,26 +377,19 @@ class _NearestLabeled:
         self.pool = pool
         self.ids = np.zeros(0, dtype=int)  # ascending candidate ids of the last update
         self.dists = np.zeros(0)
-        self.covered: set[int] = set()  # labeled ids those distances cover
+        self.covered = np.zeros(0, dtype=int)  # ascending labeled ids those distances cover
 
     def update(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Distances for candidates `ids` (ascending) with normalized features `x`."""
-        labeled = self.pool.labeled
-        if not self.covered <= labeled:
-            raise AssertionError("labeled ids left the labeled set between cycles")
+        labeled = self.pool.labeled  # a superset of covered: labels are never withdrawn
         seen = np.isin(ids, self.ids, assume_unique=True)
         dists = np.empty(len(ids))
-        if seen.any():
-            kept = self.dists[np.searchsorted(self.ids, ids[seen])]
-            added = sorted(labeled - self.covered)
-            if added:
-                new = _min_distances(x[seen], self.pool.normalized_features(added))
-                kept = np.minimum(kept, new)
-            dists[seen] = kept
+        added = np.setdiff1d(labeled, self.covered, assume_unique=True)
+        new = _min_distances(x[seen], self.pool.normalized_features(added))  # inf if none added
+        dists[seen] = np.minimum(self.dists[np.searchsorted(self.ids, ids[seen])], new)
         if not seen.all():
-            refs = self.pool.normalized_features(sorted(labeled))
-            dists[~seen] = _min_distances(x[~seen], refs)
-        self.ids, self.dists, self.covered = ids, dists, set(labeled)
+            dists[~seen] = _min_distances(x[~seen], self.pool.normalized_features(labeled))
+        self.ids, self.dists, self.covered = ids, dists, labeled
         return dists
 
 
@@ -427,7 +407,7 @@ def run_pool_loop(
     Stops at the configured iteration count, on budget exhaustion, or when
     the unlabeled pool empties, whichever comes first.  Bit-reproducible
     for a fixed config and master seed."""
-    if not pool.unlabeled:
+    if not len(pool.unlabeled):
         raise ValueError("pool-based loop needs a non-empty unlabeled set")
     if oracle.budget.total <= 0.0:
         raise ValueError("budget must be positive")
@@ -478,7 +458,7 @@ def run_pool_loop(
         if config.strategy == "qbc":
             state.fit_committee(iteration, config.fine_tune_epochs)
         ids, x, stds = state.score_unlabeled(iteration)
-        state.check_hygiene()
+        pool.check_invariants()
         curve.append(
             CurveRow(iteration, len(pool.labeled), oracle.budget.spent, state.rmse(),
                      _mean(stds), state.aleatoric())
@@ -513,7 +493,7 @@ def run_stream_loop(
     state = _LoopState(config, pool, rng_seed)
     state.fit(0, config.initial_epochs)
     curve = LearningCurve()
-    seed_feats = pool.normalized_features(sorted(pool.labeled))
+    seed_feats = pool.normalized_features(pool.labeled)
     seed_stds = state.epistemic_std_mbps(
         seed_feats, seeding.derive_seed(rng_seed, 0, seeding.STREAM_SCORE)
     )
@@ -570,20 +550,13 @@ def run_stream_loop(
     if pending > 0:
         state.fit(len(log) + 1, config.stream_epochs)
         record_row()
-    state.check_hygiene()
+    pool.check_invariants()
     return curve, log
 
 
 # ---------------------------------------------------------------------------
 # Membership query synthesis loop
 # ---------------------------------------------------------------------------
-
-
-def _nearest_unlabeled(pool: DataPool, proposal_norm: np.ndarray) -> int:
-    ids = sorted(pool.unlabeled)
-    feats = pool.normalized_features(ids)
-    d = np.sqrt(((feats - proposal_norm) ** 2).sum(axis=1))
-    return ids[int(np.argmin(d))]
 
 
 def run_synthesis_loop(
@@ -605,12 +578,11 @@ def run_synthesis_loop(
     state = _LoopState(config, pool, rng_seed)
     state.fit(0, config.initial_epochs)
 
-    labeled_feats = pool.feature_matrix(sorted(pool.labeled))
     if policy.probe_features is not None:
         probe = np.asarray(policy.probe_features, dtype=float)
     else:
         gmm0 = fit_gmm(
-            labeled_feats, policy.gmm_components, policy.gmm_em_iters,
+            pool.feature_matrix(pool.labeled), policy.gmm_components, policy.gmm_em_iters,
             seeding.derive_seed(rng_seed, 0, seeding.STREAM_GMM_FIT),
         )
         probe = sample_gmm(
@@ -637,7 +609,7 @@ def run_synthesis_loop(
     )
     for iteration in range(1, config.iterations + 1):
         gmm = fit_gmm(
-            pool.feature_matrix(sorted(pool.labeled)),
+            pool.feature_matrix(pool.labeled),
             policy.gmm_components, policy.gmm_em_iters,
             seeding.derive_seed(rng_seed, iteration, seeding.STREAM_GMM_FIT),
         )
@@ -661,16 +633,18 @@ def run_synthesis_loop(
                 sample = oracle.synthesize(proposals[idx], iteration)
                 pool.add_labeled(sample)
             else:
-                if not pool.unlabeled:
+                ids = pool.unlabeled
+                if not len(ids):
                     break
-                sid = _nearest_unlabeled(pool, proposals_norm[idx])
+                diff = pool.normalized_features(ids) - proposals_norm[idx]
+                sid = int(ids[np.argmin(np.sqrt((diff**2).sum(axis=1)))])  # nearest unlabeled
                 label = oracle.annotate(sid)
                 pool.mark_labeled(sid, label, iteration)
             realized += 1
         if realized == 0:
             break
         state.fit(iteration, config.fine_tune_epochs)
-        state.check_hygiene()
+        pool.check_invariants()
         curve.append(
             CurveRow(iteration, len(pool.labeled), oracle.budget.spent, state.rmse(),
                      probe_std(iteration), state.aleatoric())

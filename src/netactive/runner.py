@@ -147,7 +147,10 @@ def run_single(
     if config.loop == "pool":
         curve = run_pool_loop(loop_config, pool, oracle, master_seed)
     elif config.loop == "stream":
-        arrivals = _stream_arrivals(config, pool, master_seed)
+        arrivals = extract_stream_arrivals(
+            pool, config.stream_arrivals,
+            seeding.derive_seed(master_seed, seeding.STREAM_ARRIVALS),
+        )
         policy = StreamPolicy(
             uncertainty_threshold_quantile=config.stream_quantile,
             window=config.stream_window,
@@ -173,34 +176,12 @@ def extract_stream_arrivals(pool: DataPool, n: int, rng_seed: int) -> list[Sampl
     truth (the stream loop re-registers and re-hides each one on arrival);
     the leftovers drop out of the experiment entirely.  Asking for more
     arrivals than the pool holds raises ValueError."""
-    ids = sorted(pool.unlabeled)
+    ids = pool.unlabeled
     if n > len(ids):
-        raise ValueError(
-            f"{n} stream arrivals requested but the unlabeled pool holds only {len(ids)}"
-        )
+        raise ValueError(f"{n} stream arrivals requested; the pool holds only {len(ids)} unlabeled")
     order = np.random.default_rng(rng_seed).permutation(len(ids))
-    arrivals = []
-    for i in order[:n]:
-        sample = pool.samples.pop(ids[i])
-        pool.unlabeled.discard(ids[i])
-        sample.label = pool.take_hidden_label(ids[i])
-        arrivals.append(sample)
-    for sid in sorted(pool.unlabeled):
-        pool.samples.pop(sid)
-        pool.take_hidden_label(sid)
-    pool.unlabeled.clear()
-    pool.check_invariants()
-    return arrivals
-
-
-def _stream_arrivals(
-    config: ExperimentConfig, pool: DataPool, master_seed: int
-) -> list[Sample]:
-    return extract_stream_arrivals(
-        pool,
-        config.stream_arrivals,
-        seeding.derive_seed(master_seed, seeding.STREAM_ARRIVALS),
-    )
+    detached = pool.detach_unlabeled()
+    return [detached[sid] for sid in ids[order[:n]].tolist()]
 
 
 def _probe_features(
@@ -227,16 +208,13 @@ def write_annotations(result: RunResult, path: str) -> None:
     pool = result.pool
     n_feat = pool.n_features
     header = ["iteration_acquired", "sample_id", "origin"] + [f"f{i}" for i in range(n_feat)]
-    rows = sorted(
-        (pool.samples[sid] for sid in pool.labeled),
-        key=lambda s: (s.iteration_acquired if s.iteration_acquired is not None else 0, s.id),
-    )
+    records = [pool.samples[sid] for sid in pool.labeled]  # ascending ids
+    iterations = [s.iteration_acquired or 0 for s in records]  # none counts as the seed's 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for s in rows:
-            it = s.iteration_acquired if s.iteration_acquired is not None else 0
-            feats = ",".join(f"{v:.9g}" for v in s.features)
-            fh.write(f"{it},{s.id},{s.origin},{feats}\n")
+        for i in np.argsort(iterations, kind="stable"):  # by iteration, then by id
+            feats = ",".join(f"{v:.9g}" for v in records[i].features)
+            fh.write(f"{iterations[i]},{records[i].id},{records[i].origin},{feats}\n")
 
 
 def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> dict:

@@ -268,7 +268,7 @@ def test_criterion_5_budget_and_hygiene(benchmark_battery):
             violations.append(f"{strategy}/{seed}: spent outside [0, total]")
         if budget.spent != granted * budget.annotation_cost:
             violations.append(f"{strategy}/{seed}: charge mismatch")
-        if pool.labeled & set(pool.test):
+        if set(pool.labeled) & set(pool.test):
             violations.append(f"{strategy}/{seed}: test id labeled")
         if any(pool.samples[tid].iteration_acquired is not None for tid in pool.test):
             violations.append(f"{strategy}/{seed}: test id annotated")

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netactive.dataset import (
+    ORIGIN_COLLECTED,
+    ORIGIN_INGESTED,
+    ORIGIN_SYNTHESIZED,
     DataPool,
     Normalizer,
     Sample,
@@ -11,6 +14,7 @@ from netactive.dataset import (
     load_csv,
     split_pool,
 )
+from netactive.runner import extract_stream_arrivals
 
 
 def make_samples(n, n_features=3, seed=0):
@@ -29,6 +33,10 @@ class TestSample:
     def test_rejects_non_finite_label(self):
         with pytest.raises(ValueError):
             Sample(id=0, features=[1.0], label=float("nan"))
+
+    def test_rejects_negative_id(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Sample(id=-1, features=[1.0], label=1.0)
 
     def test_rejects_unknown_origin(self):
         with pytest.raises(ValueError, match="origin"):
@@ -118,19 +126,26 @@ class TestSplitPool:
         samples = make_samples(50)
         a = split_pool(samples, 0.2, 0.3, rng_seed=42)
         b = split_pool(samples, 0.2, 0.3, rng_seed=42)
-        assert a.test == b.test and a.labeled == b.labeled and a.unlabeled == b.unlabeled
+        for part in ("test", "labeled", "unlabeled"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
 
     def test_unlabeled_labels_hidden(self):
         pool = split_pool(make_samples(50), 0.2, 0.2, rng_seed=0)
         for sid in pool.unlabeled:
             assert pool.samples[sid].label is None
             assert pool.has_hidden_label(sid)
-        for sid in pool.labeled | pool.test:
+        for sid in np.concatenate([pool.labeled, pool.test]):
             assert pool.samples[sid].label is not None
 
     def test_seed_marked_iteration_zero(self):
         pool = split_pool(make_samples(50), 0.2, 0.2, rng_seed=0)
         assert all(pool.samples[sid].iteration_acquired == 0 for sid in pool.labeled)
+
+    def test_duplicate_ids_named(self):
+        samples = make_samples(20)
+        samples[7] = Sample(id=3, features=np.zeros(3), label=1.0)
+        with pytest.raises(ValueError, match="duplicate sample id 3"):
+            split_pool(samples, 0.2, 0.2, rng_seed=0)
 
     def test_degenerate_fraction(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -151,10 +166,11 @@ class TestSplitPool:
         samples = [Sample(id=i + 7, features=np.zeros(2), label=1.0) for i in range(n)]
         pool = split_pool(samples, tf, slf, rng_seed=seed)
         ids = {s.id for s in samples}
-        assert pool.labeled | pool.unlabeled | set(pool.test) == ids
-        assert not (pool.labeled & pool.unlabeled)
-        assert not (pool.labeled & pool.test)
-        assert not (pool.unlabeled & pool.test)
+        labeled, unlabeled, test = set(pool.labeled), set(pool.unlabeled), set(pool.test)
+        assert labeled | unlabeled | test == ids
+        assert not (labeled & unlabeled)
+        assert not (labeled & test)
+        assert not (unlabeled & test)
         assert len(pool.test) == int(np.floor(n * tf))
 
 
@@ -171,8 +187,73 @@ class TestDataPool:
 
     def test_inconsistent_feature_lengths_rejected(self):
         samples = [Sample(0, [1.0, 2.0], 1.0), Sample(1, [1.0], 1.0)]
-        with pytest.raises(AssertionError, match="feature lengths"):
+        with pytest.raises(ValueError, match="sample 1: inconsistent feature lengths"):
             DataPool(samples, labeled={0}, unlabeled={1}, test=set())
+
+    def test_duplicate_ids_rejected(self):
+        samples = [Sample(0, [1.0], 1.0), Sample(0, [2.0], 1.0)]
+        with pytest.raises(ValueError, match="duplicate sample id 0"):
+            DataPool(samples, labeled={0}, unlabeled=set(), test=set())
+
+    def test_first_repeated_id_in_input_order_named(self):
+        samples = [Sample(i, [float(i)], 1.0) for i in (2, 9, 4, 9, 4)]
+        with pytest.raises(ValueError, match="duplicate sample id 9"):
+            DataPool(samples, labeled={2, 4, 9}, unlabeled=set(), test=set())
+
+    def test_sample_outside_every_partition_rejected(self):
+        with pytest.raises(ValueError, match="sample 2 is in no partition"):
+            DataPool(make_samples(3), labeled={0}, unlabeled={1}, test=set())
+
+    def test_non_finite_features_rejected_at_construction(self):
+        samples = make_samples(4)
+        samples[2].features[1] = np.nan
+        with pytest.raises(ValueError, match="sample 2: non-finite"):
+            DataPool(samples, labeled={0, 1}, unlabeled={2}, test={3})
+
+    @pytest.mark.parametrize("method", ["add_unlabeled", "add_labeled"])
+    def test_non_finite_features_rejected_on_add(self, method):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        sid = pool.allocate_id()
+        with pytest.raises(ValueError, match=f"sample {sid}: non-finite"):
+            getattr(pool, method)(Sample(sid, [0.0, np.inf, 1.0], label=1.0))
+        assert sid not in pool.samples
+
+    def test_wrong_feature_length_rejected_on_add(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        with pytest.raises(ValueError, match="inconsistent feature lengths"):
+            pool.add_unlabeled(Sample(pool.allocate_id(), [0.0, 1.0], label=1.0))
+
+    def test_samples_view_builds_records_on_access(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        assert len(pool.samples) == 20 and sorted(pool.samples) == list(range(20))
+        record = pool.samples[5]
+        record.features[:] = 99.0  # a copy: the store is not written through it
+        assert not np.any(pool.samples[5].features == 99.0)
+        with pytest.raises(TypeError):
+            pool.samples[5] = record
+        with pytest.raises(KeyError):
+            pool.samples[20]
+
+    def test_adding_rows_grows_storage_geometrically(self):
+        pool = DataPool(make_samples(8), labeled=range(4), unlabeled=range(4, 8), test=[])
+        grown = 0
+        for _ in range(3000):
+            before = pool._features
+            pool.add_unlabeled(Sample(pool.allocate_id(), np.zeros(3), label=1.0))
+            grown += pool._features is not before
+        # 1/8 steps from 8 to 3008 rows: ~50 reallocations, not 3000,
+        # and at most 1/8 of the capacity left over
+        assert 0 < grown < 60
+        assert len(pool._features) <= 3008 * 9 // 8 + 1
+
+    def test_next_id_stays_above_extracted_ids(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        top = pool.allocate_id() + 5
+        pool.add_unlabeled(Sample(top, np.zeros(3), label=2.0))
+        arrivals = extract_stream_arrivals(pool, 3, rng_seed=1)
+        assert top not in pool.samples and not len(pool.unlabeled)
+        assert pool.next_id == top + 1
+        assert all(a.label is not None for a in arrivals)
 
     def test_mark_labeled_moves_partition(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
@@ -195,6 +276,115 @@ class TestDataPool:
         pool.add_unlabeled(Sample(id=sid, features=np.zeros(3), label=5.0))
         assert pool.samples[sid].label is None
         assert pool.take_hidden_label(sid) == 5.0
+
+
+class _ReferencePool:
+    """The pool's contract as plain dicts and sets."""
+
+    def __init__(self, samples, labeled, unlabeled, test):
+        self.rows = {s.id: [s.features.copy(), s.label, s.origin, s.iteration_acquired]
+                     for s in samples}
+        self.labeled, self.unlabeled, self.test = set(labeled), set(unlabeled), set(test)
+        self.hidden = {}
+        for sid in self.unlabeled:
+            self.hidden[sid], self.rows[sid][1] = self.rows[sid][1], None
+        self.next_id = max(self.rows) + 1
+
+    def add(self, sample, partition):
+        self.rows[sample.id] = [sample.features.copy(), sample.label, sample.origin,
+                                sample.iteration_acquired]
+        partition.add(sample.id)
+        if partition is self.unlabeled:
+            self.hidden[sample.id], self.rows[sample.id][1] = sample.label, None
+        self.next_id = max(self.next_id, sample.id + 1)
+
+    def extract(self, n, rng_seed):
+        ids = sorted(self.unlabeled)
+        order = np.random.default_rng(rng_seed).permutation(len(ids))
+        arrivals = [(ids[i], self.hidden.get(ids[i])) for i in order[:n]]
+        for sid in ids:
+            self.rows.pop(sid)
+            self.hidden.pop(sid, None)
+        self.unlabeled.clear()
+        return arrivals
+
+
+def _assert_matches(pool, ref):
+    for name in ("labeled", "unlabeled", "test"):
+        assert np.array_equal(getattr(pool, name), sorted(getattr(ref, name)))
+    assert pool.next_id == ref.next_id
+    assert list(pool.samples) == sorted(ref.rows)
+    for sid, (features, label, origin, iteration) in ref.rows.items():
+        record = pool.samples[sid]
+        assert np.array_equal(record.features, features)
+        assert (record.label, record.origin, record.iteration_acquired) == (
+            label, origin, iteration)
+        assert pool.has_hidden_label(sid) == (sid in ref.hidden and ref.hidden[sid] is not None)
+    assert not pool.has_hidden_label(ref.next_id)
+
+
+class TestPoolAgainstReference:
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["unlabeled", "labeled", "allocate", "annotate", "extract"]),
+                st.integers(min_value=0, max_value=2**31),
+            ),
+            max_size=20,
+        ),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_operation_sequences(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        samples = [
+            Sample(i, rng.normal(size=2), None if rng.random() < 0.2 else float(rng.random()))
+            for i in range(n)
+        ]
+        codes = rng.integers(0, 3, size=n)
+        for s, code in zip(samples, codes):
+            if code == 0 and s.label is None:
+                s.label = 1.0  # labeled samples carry labels
+        parts = [[s.id for s, c in zip(samples, codes) if c == k] for k in range(3)]
+        pool = DataPool(samples, *parts)
+        ref = _ReferencePool(samples, *parts)
+        _assert_matches(pool, ref)
+        for op, draw in ops:
+            r = np.random.default_rng(draw)
+            if op in ("unlabeled", "labeled"):
+                sid = ref.next_id + int(r.integers(0, 3))  # ids may skip ahead
+                label = float(r.random()) if op == "labeled" or r.random() < 0.8 else None
+                origin = [ORIGIN_INGESTED, ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED][r.integers(3)]
+                iteration = None if r.random() < 0.5 else int(r.integers(0, 5))
+                sample = Sample(sid, r.normal(size=2), label, origin, iteration)
+                getattr(pool, f"add_{op}")(sample)
+                ref.add(sample, getattr(ref, op))
+                with pytest.raises(ValueError, match="already present"):
+                    pool.add_unlabeled(sample)
+            elif op == "allocate":
+                assert pool.allocate_id() == ref.next_id
+                ref.next_id += 1
+            elif op == "annotate":
+                hidden = sorted(sid for sid, label in ref.hidden.items() if label is not None)
+                if not hidden:
+                    continue
+                sid = hidden[r.integers(len(hidden))]
+                label = pool.take_hidden_label(sid)
+                assert label == ref.hidden.pop(sid)
+                assert not pool.has_hidden_label(sid)
+                iteration = int(r.integers(0, 9))
+                pool.mark_labeled(sid, label, iteration)
+                ref.unlabeled.discard(sid)
+                ref.labeled.add(sid)
+                ref.rows[sid][1], ref.rows[sid][3] = label, iteration
+            else:
+                k = int(r.integers(0, len(ref.unlabeled) + 1))
+                arrivals = extract_stream_arrivals(pool, k, rng_seed=draw)
+                expected = ref.extract(k, draw)
+                assert [(a.id, a.label) for a in arrivals] == expected
+            pool.check_invariants()
+            _assert_matches(pool, ref)
 
 
 class TestNormalizer:
@@ -239,6 +429,14 @@ class TestNormalizer:
         pool = DataPool(samples, labeled={0, 1}, unlabeled=set(), test={2})
         norm = fit_normalizer(pool)
         np.testing.assert_allclose(norm.means, [1.0])
+
+    @pytest.mark.parametrize("field", ["means", "stds"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_statistics_rejected(self, field, bad):
+        stats = {"means": np.zeros(2), "stds": np.ones(2)}
+        stats[field][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Normalizer(**stats)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)

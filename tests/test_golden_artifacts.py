@@ -1,6 +1,7 @@
 """Byte-level behaviour fingerprint: the seed-0 artifacts of the three shipped
-synthetic configs, and of short coreset and hybrid runs of the benchmark
-config, must hash to the values recorded in CHANGES.md.
+synthetic configs, of short coreset, hybrid and qbc runs of the benchmark
+config, and of a short hybrid run with collection on, must hash to the
+values recorded in CHANGES.md.
 
 Performance work on the kernels promises bit-for-bit identical results; this
 test checks that promise end to end through the CLI.  The hashes depend on
@@ -46,7 +47,7 @@ GOLDEN = {
             "06ff9cc20f7998d8c894112168fdc5fcd4a01bd6d6c70405b1e2437971d98040",
         "summary.csv": "0cbb9563079522be8f4e817ba80dd07f56d0b2f798c7e88d4cc7a85f6e42782e",
     },
-    # No shipped config runs the distance-based strategies.
+    # No shipped config runs the distance-based strategies, qbc or collection.
     "synthetic_benchmark_coreset": {
         "annotations_coreset_seed0.csv":
             "09b502f0b2f578847cd694624f48a1ca884f0ae2988d25ea52f3ddc4243c0f26",
@@ -61,14 +62,31 @@ GOLDEN = {
             "0f5a82b787172f2412c38d46eb74b9533cfd1f60228dfaf33778e8a14af18136",
         "summary.csv": "06caa618f8fd8c6cf465efc8343d58f4dbc2f71ff258c6d60e83da67a19249cf",
     },
+    "synthetic_benchmark_qbc": {
+        "annotations_qbc_seed0.csv":
+            "77643da2a06d9e078b5acf2bd26d6578d2d5962b5836038259728d7a578a6a93",
+        "curve_qbc_seed0.csv":
+            "db36f98676f79adc30cd2b88a7a74c43d2c80af579e9e14126da476a7ac686c9",
+        "summary.csv": "720e6ba14dfe21d13a4c608dd34ecc5af0be17e928e8391d46d0c34f4c788935",
+    },
+    "synthetic_benchmark_collect": {
+        "annotations_hybrid_seed0.csv":
+            "1fcfb7c485c6475f156d040f2b10b450c4fc46b5def36e74039455bce3a13fd8",
+        "curve_hybrid_seed0.csv":
+            "ab23b6253e543eb19caa66474ea6c46c11a1c738ea958dd2fa0adf41245c072c",
+        "summary.csv": "04cbad881778ba4a69632ca481dc776d41ce29590a750cab314fa4f3e28a0462",
+    },
 }
 
 # case -> (config, CLI overrides); any other case runs its shipped config as is
 OVERRIDES = {
     f"synthetic_benchmark_{strategy}":
         ("synthetic_benchmark", ["--strategy", strategy, "--iterations", "3"])
-    for strategy in ("coreset", "hybrid")
+    for strategy in ("coreset", "hybrid", "qbc")
 }
+OVERRIDES["synthetic_benchmark_collect"] = OVERRIDES["synthetic_benchmark_hybrid"]
+# case -> lines appended to its config, in a copy written next to the output
+EXTRA_KEYS = {"synthetic_benchmark_collect": ["collect_enabled = true"]}
 
 
 def _blas() -> tuple[str, str]:
@@ -86,11 +104,16 @@ def test_seed0_artifacts_match_recorded_hashes(case, tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     config, overrides = OVERRIDES.get(case, (case, []))
+    config_path = os.path.join(ROOT, "configs", f"{config}.cfg")
+    if case in EXTRA_KEYS:
+        with open(config_path, encoding="utf-8") as fh:
+            text = fh.read()
+        config_path = tmp_path / f"{case}.cfg"
+        config_path.write_text(text + "\n".join(EXTRA_KEYS[case]) + "\n", encoding="utf-8")
     out = tmp_path / case
     run = subprocess.run(
-        [sys.executable, "-m", "netactive.cli", "run", "--config",
-         os.path.join(ROOT, "configs", f"{config}.cfg"), "--seed", "0", "--output", str(out),
-         *overrides],
+        [sys.executable, "-m", "netactive.cli", "run", "--config", str(config_path),
+         "--seed", "0", "--output", str(out), *overrides],
         env=env, cwd=ROOT, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
