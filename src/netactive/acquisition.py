@@ -18,10 +18,6 @@ _REQUIRED_INPUTS = {
     "hybrid": ("epistemic_std", "nearest_labeled"),
 }
 
-# Cap on the elements of the (n, block, F) difference temporary in
-# _min_distances; about 8 MB of float64 whatever the candidate count.
-_DIST_BLOCK_ELEMENTS = 2**20
-
 
 class BudgetError(RuntimeError):
     """A charge would push spending past the budget total."""
@@ -144,14 +140,9 @@ def rank_uncertainty(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 def _min_distances(points: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to its nearest reference (inf if none)."""
-    n, dim = points.shape
-    references = np.asarray(references, dtype=float)
-    block = max(1, _DIST_BLOCK_ELEMENTS // max(1, n * dim))
-    best = np.full(n, np.inf)
-    for start in range(0, len(references), block):
-        refs = references[start : start + block]
-        d = np.sqrt(((points[:, None, :] - refs[None, :, :]) ** 2).sum(axis=-1))
-        best = np.minimum(best, d.min(axis=1))
+    best = np.full(len(points), np.inf)
+    for ref in np.asarray(references, dtype=float):
+        best = np.minimum(best, np.sqrt(((points - ref) ** 2).sum(axis=1)))
     return best
 
 

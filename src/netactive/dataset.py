@@ -194,12 +194,15 @@ class DataPool:
         self._next_id += 1
         return sid
 
-    def take_hidden_label(self, sample_id: int) -> float:
-        """Remove and return the hidden ground truth for an unlabeled id."""
+    def reveal(self, sample_id: int, iteration: int) -> float:
+        """Move an unlabeled sample into the labeled partition in one step: its
+        hidden ground truth becomes its visible label, acquired at `iteration`."""
         if not self.has_hidden_label(sample_id):
-            raise KeyError(f"no hidden label for sample {sample_id}")
-        label, self._truth[sample_id] = float(self._truth[sample_id]), np.nan
-        return label
+            raise ValueError(f"sample {sample_id} is not in the unlabeled set with hidden truth")
+        self._label[sample_id] = self._truth[sample_id]
+        self._iteration[sample_id] = iteration
+        self._part[sample_id] = _LABELED
+        return float(self._label[sample_id])
 
     def add_unlabeled(self, sample: Sample) -> None:
         """Register a new unlabeled sample; a label it carries becomes hidden truth."""
@@ -227,14 +230,6 @@ class DataPool:
         self._iteration[sid] = -1 if iteration is None else iteration
         self._part[sid] = code
         self._next_id = max(self._next_id, sid + 1)
-
-    def mark_labeled(self, sample_id: int, label: float, iteration: int) -> None:
-        """Move an unlabeled sample into the labeled partition."""
-        if self._code(sample_id) != _UNLABELED:
-            raise ValueError(f"sample {sample_id} is not in the unlabeled set")
-        self._label[sample_id] = self._truth[sample_id] = float(label)
-        self._iteration[sample_id] = iteration
-        self._part[sample_id] = _LABELED
 
     def detach_unlabeled(self) -> dict[int, Sample]:
         """Remove every unlabeled sample and return them by id, each carrying
@@ -306,59 +301,52 @@ def load_csv(
         raise ValueError(f"{path}: target column {target_column!r} not in header")
     col_index = {name: i for i, name in enumerate(header)}
 
-    if isinstance(feature_columns, str) and feature_columns == "auto":
-        selected = []
-        for name in header:
-            if name == target_column:
-                continue
-            mapping = categorical_maps.get(name)
-            idx = col_index[name]
-            ok = all(
-                _parse_cell(row[idx], mapping) is not None
-                for row in rows
-                if idx < len(row) and row[idx] != ""
-            )
-            if ok:
-                selected.append(name)
-        if not selected:
-            raise ValueError(f"{path}: no numeric feature columns found")
+    # Each needed cell is parsed once, column by column: a float, None for an
+    # unparseable cell, or "" for an empty or missing one.
+    def parse_column(name: str) -> list:
+        idx, mapping = col_index[name], categorical_maps.get(name)
+        raws = (row[idx] if idx < len(row) else "" for row in rows)
+        return [_parse_cell(raw, mapping) if raw else "" for raw in raws]
+
+    auto = isinstance(feature_columns, str) and feature_columns == "auto"
+    if auto:
+        candidates = [name for name in header if name != target_column]
     else:
-        selected = list(feature_columns)
-        unknown = [c for c in selected if c not in col_index]
+        candidates = list(feature_columns)
+        unknown = [c for c in candidates if c not in col_index]
         if unknown:
             raise ValueError(f"{path}: feature columns not in header: {unknown}")
-        if target_column in selected:
+        if target_column in candidates:
             raise ValueError(f"{path}: target column may not be a feature")
+    parsed = {name: parse_column(name) for name in candidates + [target_column]}
+    selected = [name for name in candidates if not auto or None not in parsed[name]]
+    if auto and not selected:
+        raise ValueError(f"{path}: no numeric feature columns found")
 
     samples: list[Sample] = []
     rejected = 0
     for row_num, row in enumerate(rows, start=2):  # header is line 1
-        cells = {}
-        missing = False
+        values = []
         for name in selected + [target_column]:
-            idx = col_index[name]
-            raw = row[idx] if idx < len(row) else ""
-            if raw == "":
-                missing = True
+            value = parsed[name][row_num - 2]
+            if value == "":
+                rejected += 1
                 break
-            value = _parse_cell(raw, categorical_maps.get(name))
             if value is None:
                 raise ValueError(
                     f"{path}: line {row_num}, column {name!r}: "
-                    f"cannot parse {raw!r} as a number (no categorical mapping)"
+                    f"cannot parse {row[col_index[name]]!r} as a number (no categorical mapping)"
                 )
-            cells[name] = value
-        if missing:
-            rejected += 1
-            continue
-        label = cells[target_column]
-        if label < 0.0:
-            raise ValueError(
-                f"{path}: line {row_num}, column {target_column!r}: "
-                f"negative target {label!r}"
-            )
-        features = np.array([cells[name] for name in selected], dtype=float)
-        samples.append(Sample(id=len(samples), features=features, label=label))
+            values.append(value)
+        else:
+            *features, label = values
+            if label < 0.0:
+                raise ValueError(
+                    f"{path}: line {row_num}, column {target_column!r}: "
+                    f"negative target {label!r}"
+                )
+            samples.append(Sample(id=len(samples), features=np.array(features, dtype=float),
+                                  label=label))
 
     return LoadResult(samples=samples, feature_names=selected, rejected_rows=rejected)
 

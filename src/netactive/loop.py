@@ -31,10 +31,6 @@ class OracleError(RuntimeError):
     """Invalid oracle request (already labeled, unknown id, no ground truth)."""
 
 
-class CollectionUnsupported(OracleError):
-    """This oracle cannot gather new samples (no twin world behind it)."""
-
-
 class TrainingDiverged(ArithmeticError):
     """Training produced non-finite parameters; the run cannot continue."""
 
@@ -158,31 +154,33 @@ class LoopConfig:
 
 
 class PoolOracle:
-    """Reveals hidden ground-truth labels of pool samples, charging the budget."""
+    """Performs every acquisition write on the pool and charges the budget
+    for it; the loops only decide what to acquire.  A plain pool oracle can
+    only annotate: reveal a pool sample's hidden ground-truth label."""
 
-    supports_collection = False
-    supports_synthesis = False
+    has_twin_world = False  # True when the oracle can also collect and synthesize
 
     def __init__(self, pool: DataPool, budget: Budget):
         self.pool = pool
         self.budget = budget
 
-    def annotate(self, sample_id: int) -> float:
+    def annotate(self, sample_id: int, iteration: int) -> float:
+        """Charge one annotation and move an unlabeled sample into the labeled
+        partition, acquired at `iteration`.  A rejected id charges nothing."""
         if not self.pool.has_hidden_label(sample_id):
             raise OracleError(f"sample {sample_id} is not unlabeled or has no ground truth")
         self.budget.charge(self.budget.annotation_cost)
-        return self.pool.take_hidden_label(sample_id)
+        return self.pool.reveal(sample_id, iteration)
 
     def collect(self, region: CollectRegion, count: int, iteration: int) -> list[Sample]:
-        raise CollectionUnsupported("collection requires a twin-world oracle")
+        raise OracleError("collection requires a twin-world oracle")
 
 
 class TwinOracle(PoolOracle):
     """Pool oracle backed by a twin world: can also collect new samples in a
     requested region and label synthesized scenarios directly."""
 
-    supports_collection = True
-    supports_synthesis = True
+    has_twin_world = True
 
     def __init__(self, pool: DataPool, budget: Budget, world: TwinWorld, rng_seed: int):
         super().__init__(pool, budget)
@@ -230,20 +228,18 @@ class TwinOracle(PoolOracle):
         return out
 
     def synthesize(self, features: np.ndarray, iteration: int) -> Sample:
-        """Induce a proposed scenario in the twin world and observe its label.
+        """Induce a proposed scenario in the twin world, observe its label and
+        register the result as a labeled sample acquired at `iteration`.
 
         Charges one annotation plus one collection."""
         self.budget.charge(self.budget.annotation_cost + self.budget.collection_cost)
         rng = self._next_rng()
         raw = realize_scenario(self.world, np.asarray(features, dtype=float), rng)
         label = twin_label(self.world, raw, int(rng.integers(0, 2**31)))
-        return Sample(
-            id=self.pool.allocate_id(),
-            features=raw,
-            label=label,
-            origin=ORIGIN_SYNTHESIZED,
-            iteration_acquired=iteration,
-        )
+        sample = Sample(id=self.pool.allocate_id(), features=raw, label=label,
+                        origin=ORIGIN_SYNTHESIZED, iteration_acquired=iteration)
+        self.pool.add_labeled(sample)
+        return sample
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +248,17 @@ class TwinOracle(PoolOracle):
 
 
 class _LoopState:
-    """Model, folds, label scaling and bookkeeping shared by the loop drivers."""
+    """Model, folds, label scaling and the learning curve shared by the loop
+    drivers.  record() writes every curve row, each after checking the pool's
+    invariants; the drivers decide, and the oracle makes every acquisition
+    write."""
 
-    def __init__(self, config: LoopConfig, pool: DataPool, master_seed: int):
+    def __init__(self, config: LoopConfig, pool: DataPool, budget: Budget, master_seed: int):
         self.config = config
         self.pool = pool
+        self.budget = budget
         self.master_seed = master_seed
+        self.curve = LearningCurve()
         if pool.normalizer is None:
             pool.normalizer = fit_normalizer(pool)
         if not len(pool.labeled):
@@ -350,6 +351,19 @@ class _LoopState:
         _, epi_var = mc_predict(self.params, x, self.config.mc_passes, seed)
         return np.sqrt(epi_var) * self.label_std
 
+    def record(self, iteration: int, uncertainty: float) -> None:
+        """Check the pool's invariants, then append the curve row for `iteration`."""
+        self.pool.check_invariants()
+        self.curve.append(CurveRow(iteration, len(self.pool.labeled), self.budget.spent,
+                                   self.rmse(), uncertainty, self.aleatoric()))
+
+    def score_arrival(self, sample: Sample, index: int) -> float:
+        """Register stream arrival `index` as unlabeled, its label hidden, and
+        return its epistemic standard deviation (Mbps)."""
+        self.pool.add_unlabeled(sample)
+        seed = seeding.derive_seed(self.master_seed, index, seeding.STREAM_SCORE)
+        return float(self.epistemic_std_mbps(self.pool.normalized_features([sample.id]), seed)[0])
+
     def score_unlabeled(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ascending unlabeled ids, their normalized features and their
         epistemic standard deviations (Mbps)."""
@@ -368,9 +382,9 @@ class _NearestLabeled:
     So an update keeps the rows of candidates seen before, folds in their
     distances to the newly labeled points with np.minimum, and measures
     only unseen candidates against the whole labeled set.  A pair's distance
-    does not depend on the other rows or references in the block, and the
-    minimum of correctly rounded square roots is the square root of the
-    minimum, so the vector equals _min_distances from scratch bit for bit.
+    does not depend on the other rows or references, and the minimum of
+    correctly rounded square roots is the square root of the minimum, so
+    the vector equals _min_distances from scratch bit for bit.
     """
 
     def __init__(self, pool: DataPool):
@@ -411,10 +425,10 @@ def run_pool_loop(
         raise ValueError("pool-based loop needs a non-empty unlabeled set")
     if oracle.budget.total <= 0.0:
         raise ValueError("budget must be positive")
-    if config.collect_policy.enabled and not oracle.supports_collection:
+    if config.collect_policy.enabled and not oracle.has_twin_world:
         raise ValueError("collection is enabled but the oracle cannot collect")
 
-    state = _LoopState(config, pool, rng_seed)
+    state = _LoopState(config, pool, oracle.budget, rng_seed)
     state.fit(0, config.initial_epochs)
     if config.strategy == "qbc":
         state.fit_committee(0, config.initial_epochs)
@@ -422,11 +436,7 @@ def run_pool_loop(
     # changes the unlabeled partition between scoring and selection.
     ids, x, stds = state.score_unlabeled(0)
     nearest = _NearestLabeled(pool) if config.strategy in ("coreset", "hybrid") else None
-    curve = LearningCurve()
-    curve.append(
-        CurveRow(0, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                 _mean(stds), state.aleatoric())
-    )
+    state.record(0, _mean(stds))
 
     for iteration in range(1, config.iterations + 1):
         if not len(ids):
@@ -449,8 +459,7 @@ def run_pool_loop(
             break
 
         for sid in decision.annotate_ids:
-            label = oracle.annotate(sid)
-            pool.mark_labeled(sid, label, iteration)
+            oracle.annotate(sid, iteration)
         if decision.collect_count > 0:
             oracle.collect(decision.collect_region, decision.collect_count, iteration)
 
@@ -458,12 +467,8 @@ def run_pool_loop(
         if config.strategy == "qbc":
             state.fit_committee(iteration, config.fine_tune_epochs)
         ids, x, stds = state.score_unlabeled(iteration)
-        pool.check_invariants()
-        curve.append(
-            CurveRow(iteration, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                     _mean(stds), state.aleatoric())
-        )
-    return curve
+        state.record(iteration, _mean(stds))
+    return state.curve
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -490,39 +495,20 @@ def run_stream_loop(
     query cap is not hit.  The model fine-tunes every
     config.stream_retrain_every queries.  Returns the learning curve plus
     the full per-arrival decision log."""
-    state = _LoopState(config, pool, rng_seed)
+    state = _LoopState(config, pool, oracle.budget, rng_seed)
     state.fit(0, config.initial_epochs)
-    curve = LearningCurve()
-    seed_feats = pool.normalized_features(pool.labeled)
     seed_stds = state.epistemic_std_mbps(
-        seed_feats, seeding.derive_seed(rng_seed, 0, seeding.STREAM_SCORE)
+        pool.normalized_features(pool.labeled),
+        seeding.derive_seed(rng_seed, 0, seeding.STREAM_SCORE),
     )
-    curve.append(
-        CurveRow(0, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                 float(np.mean(seed_stds)), state.aleatoric())
-    )
+    state.record(0, _mean(seed_stds))
 
     history: list[float] = []
     log: list[StreamDecision] = []
     queries = 0
     pending = 0
-    retrains = 0
-
-    def record_row():
-        nonlocal retrains
-        retrains += 1
-        window_scores = history[-policy.window :]
-        curve.append(
-            CurveRow(retrains, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                     _mean(window_scores), state.aleatoric())
-        )
-
     for index, sample in enumerate(arrivals):
-        pool.add_unlabeled(sample)
-        score = float(state.epistemic_std_mbps(
-            pool.normalized_features([sample.id]),
-            seeding.derive_seed(rng_seed, index, seeding.STREAM_SCORE),
-        )[0])
+        score = state.score_arrival(sample, index)
         window_scores = history[-policy.window :]
         if len(window_scores) >= STREAM_MIN_HISTORY:
             threshold = float(
@@ -536,22 +522,20 @@ def run_stream_loop(
             and oracle.budget.can_afford(oracle.budget.annotation_cost)
         )
         if queried:
-            label = oracle.annotate(sample.id)
-            pool.mark_labeled(sample.id, label, index)
+            oracle.annotate(sample.id, index)
             queries += 1
             pending += 1
             if pending >= config.stream_retrain_every:
                 state.fit(index + 1, config.stream_epochs)
                 pending = 0
-                record_row()
+                state.record(len(state.curve.rows), _mean(window_scores))
         history.append(score)
         log.append(StreamDecision(index, score, threshold, queried))
 
     if pending > 0:
         state.fit(len(log) + 1, config.stream_epochs)
-        record_row()
-    pool.check_invariants()
-    return curve, log
+        state.record(len(state.curve.rows), _mean(history[-policy.window :]))
+    return state.curve, log
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +559,7 @@ def run_synthesis_loop(
     pool oracle snaps the proposal to its nearest unlabeled sample and
     annotates that (annotation cost), degrading gracefully to pool-based
     querying.  The curve's uncertainty column tracks a fixed probe set."""
-    state = _LoopState(config, pool, rng_seed)
+    state = _LoopState(config, pool, oracle.budget, rng_seed)
     state.fit(0, config.initial_epochs)
 
     if policy.probe_features is not None:
@@ -596,15 +580,10 @@ def run_synthesis_loop(
         )
         return float(np.mean(stds))
 
-    curve = LearningCurve()
-    curve.append(
-        CurveRow(0, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                 probe_std(0), state.aleatoric())
-    )
-
+    state.record(0, probe_std(0))
     per_sample_cost = (
         oracle.budget.annotation_cost + oracle.budget.collection_cost
-        if oracle.supports_synthesis
+        if oracle.has_twin_world
         else oracle.budget.annotation_cost
     )
     for iteration in range(1, config.iterations + 1):
@@ -629,24 +608,18 @@ def run_synthesis_loop(
         for idx in keep:
             if not oracle.budget.can_afford(per_sample_cost):
                 break
-            if oracle.supports_synthesis:
-                sample = oracle.synthesize(proposals[idx], iteration)
-                pool.add_labeled(sample)
+            if oracle.has_twin_world:
+                oracle.synthesize(proposals[idx], iteration)
             else:
                 ids = pool.unlabeled
                 if not len(ids):
                     break
                 diff = pool.normalized_features(ids) - proposals_norm[idx]
                 sid = int(ids[np.argmin(np.sqrt((diff**2).sum(axis=1)))])  # nearest unlabeled
-                label = oracle.annotate(sid)
-                pool.mark_labeled(sid, label, iteration)
+                oracle.annotate(sid, iteration)
             realized += 1
         if realized == 0:
             break
         state.fit(iteration, config.fine_tune_epochs)
-        pool.check_invariants()
-        curve.append(
-            CurveRow(iteration, len(pool.labeled), oracle.budget.spent, state.rmse(),
-                     probe_std(iteration), state.aleatoric())
-        )
-    return curve
+        state.record(iteration, probe_std(iteration))
+    return state.curve

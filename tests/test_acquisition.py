@@ -135,6 +135,36 @@ class TestSelectCoreSet:
             core_set(np.zeros((1, 2)), {0: np.zeros(2)}, k=2)
 
 
+def blocked_min_distances(points, references):
+    """The blocked formula _min_distances used to have: as many references
+    per (n, block, F) difference temporary as fit in 2**20 elements."""
+    n, dim = points.shape
+    block = max(1, 2**20 // max(1, n * dim))
+    best = np.full(n, np.inf)
+    for start in range(0, len(references), block):
+        refs = references[start : start + block]
+        d = np.sqrt(((points[:, None, :] - refs[None, :, :]) ** 2).sum(axis=-1))
+        best = np.minimum(best, d.min(axis=1))
+    return best
+
+
+class TestMinDistances:
+    # (candidates, references, features): a block of the blocked formula holds
+    # every reference, several of them (11 and 2), or one at a time.
+    @pytest.mark.parametrize("n,m,dim", [(40, 30, 3), (300, 50, 19), (5000, 40, 19),
+                                         (20_000, 5, 19), (60_000, 3, 19), (1, 7, 1000)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_blocked_formula_bit_for_bit(self, n, m, dim, scale):
+        rng = np.random.default_rng(n + m + dim)
+        points, references = rng.normal(size=(n, dim)) * scale, rng.normal(size=(m, dim)) * scale
+        assert np.array_equal(_min_distances(points, references),
+                              blocked_min_distances(points, references))
+
+    def test_no_references_gives_inf(self):
+        assert np.array_equal(_min_distances(np.zeros((3, 2)), np.zeros((0, 2))),
+                              np.full(3, np.inf))
+
+
 class TestHybridScore:
     def test_beta_one_pure_uncertainty(self):
         assert hybrid_score(0.7, 0.1, beta=1.0) == 0.7

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netactive import dataset
 from netactive.dataset import (
     ORIGIN_COLLECTED,
     ORIGIN_INGESTED,
@@ -101,6 +102,22 @@ class TestLoadCsv:
         assert result.rejected_rows == 2
         assert len(result.samples) == 2
         assert [s.id for s in result.samples] == [0, 1]  # ids stay sequential
+
+    def test_each_cell_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = dataset._parse_cell
+        monkeypatch.setattr(dataset, "_parse_cell",
+                            lambda cell, mapping: calls.append(cell) or real(cell, mapping))
+        rows = [[str(i), str(2 * i), f"note{i}", str(10 + i)] for i in range(50)]
+        path = tmp_path / "toy.csv"
+        path.write_text("a,b,note,tput\n" + "".join(",".join(r) + "\n" for r in rows))
+        result = load_csv(str(path), "tput")
+        assert result.feature_names == ["a", "b"] and len(result.samples) == 50
+        # auto mode once parsed each selected cell twice: to pick columns, then per row
+        assert sorted(calls) == sorted(cell for row in rows for cell in row)
+        calls.clear()
+        load_csv(str(path), "tput", feature_columns=["b"])
+        assert sorted(calls) == sorted(cell for row in rows for cell in (row[1], row[3]))
 
 
 class TestSplitPool:
@@ -255,27 +272,31 @@ class TestDataPool:
         assert pool.next_id == top + 1
         assert all(a.label is not None for a in arrivals)
 
-    def test_mark_labeled_moves_partition(self):
-        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+    def test_reveal_moves_partition(self):
+        samples = make_samples(20)
+        pool = split_pool(samples, 0.2, 0.2, rng_seed=0)
         sid = sorted(pool.unlabeled)[0]
-        label = pool.take_hidden_label(sid)
-        pool.mark_labeled(sid, label, iteration=3)
+        assert pool.has_hidden_label(sid) and pool.samples[sid].label is None
+        label = pool.reveal(sid, iteration=3)
+        assert label == samples[sid].label  # the ground truth, now visible
         assert sid in pool.labeled and sid not in pool.unlabeled
+        assert pool.samples[sid].label == label
         assert pool.samples[sid].iteration_acquired == 3
+        assert not pool.has_hidden_label(sid)
         pool.check_invariants()
 
-    def test_mark_labeled_rejects_non_unlabeled(self):
+    def test_reveal_rejects_non_unlabeled(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         sid = sorted(pool.test)[0]
         with pytest.raises(ValueError, match="not in the unlabeled set"):
-            pool.mark_labeled(sid, 1.0, iteration=1)
+            pool.reveal(sid, iteration=1)
 
     def test_add_unlabeled_hides_label(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         sid = pool.allocate_id()
         pool.add_unlabeled(Sample(id=sid, features=np.zeros(3), label=5.0))
         assert pool.samples[sid].label is None
-        assert pool.take_hidden_label(sid) == 5.0
+        assert pool.reveal(sid, iteration=1) == 5.0
 
 
 class _ReferencePool:
@@ -370,11 +391,10 @@ class TestPoolAgainstReference:
                 if not hidden:
                     continue
                 sid = hidden[r.integers(len(hidden))]
-                label = pool.take_hidden_label(sid)
+                iteration = int(r.integers(0, 9))
+                label = pool.reveal(sid, iteration)
                 assert label == ref.hidden.pop(sid)
                 assert not pool.has_hidden_label(sid)
-                iteration = int(r.integers(0, 9))
-                pool.mark_labeled(sid, label, iteration)
                 ref.unlabeled.discard(sid)
                 ref.labeled.add(sid)
                 ref.rows[sid][1], ref.rows[sid][3] = label, iteration

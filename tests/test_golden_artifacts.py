@@ -1,7 +1,7 @@
 """Byte-level behaviour fingerprint: the seed-0 artifacts of the three shipped
 synthetic configs, of short coreset, hybrid and qbc runs of the benchmark
-config, and of a short hybrid run with collection on, must hash to the
-values recorded in CHANGES.md.
+config, of a short hybrid run with collection on, and of a short synthesis
+run fed from a CSV, must hash to the values recorded in CHANGES.md.
 
 Performance work on the kernels promises bit-for-bit identical results; this
 test checks that promise end to end through the CLI.  The hashes depend on
@@ -76,6 +76,15 @@ GOLDEN = {
             "ab23b6253e543eb19caa66474ea6c46c11a1c738ea958dd2fa0adf41245c072c",
         "summary.csv": "04cbad881778ba4a69632ca481dc776d41ce29590a750cab314fa4f3e28a0462",
     },
+    # The synthesis loop fed from a CSV: no twin world, so a plain pool
+    # oracle snaps each proposal to its nearest unlabeled sample.
+    "synthetic_synthesis_csv": {
+        "annotations_uncertainty_seed0.csv":
+            "bd659f1699a91809a18f4c7cd703387ddc740b95d4fef82714ca9453ee04d8d7",
+        "curve_uncertainty_seed0.csv":
+            "8a8ea32d514c420f62863c0c9ffee9219b1fd00c5df678502e5a0be7fcc8b145",
+        "summary.csv": "244a70c4c388e92b835b600e750a423e29b31faaaa1edc9ed8a8e15f6802a6c0",
+    },
 }
 
 # case -> (config, CLI overrides); any other case runs its shipped config as is
@@ -85,8 +94,15 @@ OVERRIDES = {
     for strategy in ("coreset", "hybrid", "qbc")
 }
 OVERRIDES["synthetic_benchmark_collect"] = OVERRIDES["synthetic_benchmark_hybrid"]
-# case -> lines appended to its config, in a copy written next to the output
-EXTRA_KEYS = {"synthetic_benchmark_collect": ["collect_enabled = true"]}
+OVERRIDES["synthetic_synthesis_csv"] = ("synthetic_synthesis", ["--iterations", "3"])
+# case -> keys set in a copy of its config written next to the output; "{csv}"
+# names a CSV that `netactive synth --n 1500` writes there from the same config
+EXTRA_KEYS = {
+    "synthetic_benchmark_collect": ["collect_enabled = true"],
+    "synthetic_synthesis_csv": ["data_source = csv", "csv_path = {csv}",
+                                "categorical_column = mode",
+                                "categorical_map_path = configs/lumos5g_mode_map.txt"],
+}
 
 
 def _blas() -> tuple[str, str]:
@@ -105,18 +121,25 @@ def test_seed0_artifacts_match_recorded_hashes(case, tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     config, overrides = OVERRIDES.get(case, (case, []))
     config_path = os.path.join(ROOT, "configs", f"{config}.cfg")
+
+    def cli(*args):
+        run = subprocess.run([sys.executable, "-m", "netactive.cli", *args],
+                             env=env, cwd=ROOT, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
     if case in EXTRA_KEYS:
+        csv_path = tmp_path / "telemetry.csv"
+        extra = [line.format(csv=csv_path) for line in EXTRA_KEYS[case]]
+        if any("{csv}" in line for line in EXTRA_KEYS[case]):
+            cli("synth", "--config", config_path, "--n", "1500", "--out", str(csv_path))
+        keys = {line.split("=", 1)[0].strip() for line in extra}
         with open(config_path, encoding="utf-8") as fh:
-            text = fh.read()
+            kept = [line for line in fh.read().splitlines()
+                    if line.split("=", 1)[0].strip() not in keys]
         config_path = tmp_path / f"{case}.cfg"
-        config_path.write_text(text + "\n".join(EXTRA_KEYS[case]) + "\n", encoding="utf-8")
+        config_path.write_text("\n".join(kept + extra) + "\n", encoding="utf-8")
     out = tmp_path / case
-    run = subprocess.run(
-        [sys.executable, "-m", "netactive.cli", "run", "--config", str(config_path),
-         "--seed", "0", "--output", str(out), *overrides],
-        env=env, cwd=ROOT, capture_output=True, text=True,
-    )
-    assert run.returncode == 0, run.stderr
+    cli("run", "--config", str(config_path), "--seed", "0", "--output", str(out), *overrides)
     # config_resolved.txt embeds the output directory, so it is not hashed
     written = sorted(set(os.listdir(out)) - {"config_resolved.txt"})
     assert written == sorted(GOLDEN[case])

@@ -94,32 +94,48 @@ class TestOracles:
         budget = Budget(total=10.0)
         oracle = PoolOracle(pool, budget)
         sid = sorted(pool.unlabeled)[0]
-        label = oracle.annotate(sid)
+        label = oracle.annotate(sid, iteration=2)
         assert label >= 0.0
         assert budget.spent == budget.annotation_cost
+        record = pool.samples[sid]
+        assert (record.label, record.iteration_acquired) == (label, 2)
+        assert sid in pool.labeled and not pool.has_hidden_label(sid)
 
     def test_annotate_labeled_id_rejected(self):
         pool = small_pool()
         oracle = PoolOracle(pool, Budget(total=10.0))
         sid = sorted(pool.labeled)[0]
         with pytest.raises(OracleError, match="not unlabeled"):
-            oracle.annotate(sid)
+            oracle.annotate(sid, iteration=1)
 
     def test_annotate_test_id_rejected(self):
         pool = small_pool()
         oracle = PoolOracle(pool, Budget(total=10.0))
         sid = sorted(pool.test)[0]
         with pytest.raises(OracleError):
-            oracle.annotate(sid)
+            oracle.annotate(sid, iteration=1)
 
     def test_double_annotate_rejected(self):
         pool = small_pool()
         oracle = PoolOracle(pool, Budget(total=10.0))
         sid = sorted(pool.unlabeled)[0]
-        label = oracle.annotate(sid)
-        pool.mark_labeled(sid, label, iteration=1)
+        oracle.annotate(sid, iteration=1)
         with pytest.raises(OracleError):
-            oracle.annotate(sid)
+            oracle.annotate(sid, iteration=2)
+
+    @pytest.mark.parametrize("partition", ["labeled", "test", "unknown"])
+    def test_rejected_annotate_charges_nothing_and_writes_nothing(self, partition):
+        pool = small_pool()
+        budget = Budget(total=10.0)
+        oracle = PoolOracle(pool, budget)
+        sid = pool.next_id + 3 if partition == "unknown" else int(getattr(pool, partition)[0])
+        before = pool_columns(pool)
+        with pytest.raises(OracleError):
+            oracle.annotate(sid, iteration=1)
+        assert budget.spent == 0.0
+        after = pool_columns(pool)
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[k], before[k], equal_nan=True) for k in before)
 
     def test_pool_oracle_cannot_collect(self):
         from netactive.acquisition import CollectRegion
@@ -197,6 +213,19 @@ class TestOracles:
         assert budget.spent == 1.25
         assert sample.origin == ORIGIN_SYNTHESIZED
         assert sample.label is not None
+
+    def test_twin_synthesize_registers_labeled_sample(self):
+        world = small_world()
+        pool = small_pool(world=world)
+        oracle = TwinOracle(pool, Budget(total=10.0), world, rng_seed=5)
+        sid = pool.next_id
+        sample = oracle.synthesize(pool.samples[0].features, iteration=3)
+        assert sample.id == sid and sid in pool.labeled
+        record = pool.samples[sid]
+        assert (record.label, record.origin, record.iteration_acquired) == (
+            sample.label, ORIGIN_SYNTHESIZED, 3)
+        assert np.array_equal(record.features, sample.features)
+        pool.check_invariants()
 
 
 class TestLearningCurve:
