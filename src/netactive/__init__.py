@@ -16,7 +16,6 @@ from .acquisition import (
 )
 from .bayesian import (
     Committee,
-    committee_train,
     mc_predict,
 )
 from .dataset import (

@@ -8,14 +8,10 @@ import numpy as np
 
 from .neural import (
     NetworkParams,
-    NetworkSpec,
-    TrainHyper,
     _act,
     _feature_matrix,
     draw_dropout_masks,
-    init_params,
     predict,
-    train,
 )
 
 MC_GROUP_ROWS = 256  # rows per stacked matrix product when scoring few rows
@@ -114,25 +110,3 @@ def mc_predict(
     epistemic = outs.var(axis=0, ddof=1) if n_passes > 1 else np.zeros(n)
     return outs.mean(axis=0), epistemic
 
-
-def committee_train(
-    spec: NetworkSpec,
-    x: np.ndarray,
-    y: np.ndarray,
-    n_members: int,
-    base_seed: int,
-    epochs: int,
-    batch_size: int,
-    hyper: TrainHyper | None = None,
-) -> Committee:
-    """Train members with seeds base_seed..base_seed+K-1 (distinct inits and shuffles)."""
-    if n_members < 2:
-        raise ValueError("n_members must be >= 2")
-    members = []
-    for k in range(n_members):
-        seed = base_seed + k
-        params = init_params(spec, seed)
-        params, _ = train(params, x, y, epochs=epochs, batch_size=batch_size,
-                          rng_seed=seed, hyper=hyper)
-        members.append(params)
-    return Committee(members=members)

@@ -11,7 +11,7 @@ import dataclasses
 import sys
 
 from .config import ConfigError, ExperimentConfig, parse_config, validate_config
-from .runner import check_config_for_run, export_query_geography, run_experiment
+from .runner import export_query_geography, run_experiment
 from .synth import generate_synthetic_dataset, write_synthetic_csv
 
 
@@ -67,7 +67,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             config = _apply_overrides(parse_config(args.config), args)
-            check_config_for_run(config)
         elif args.command == "synth":
             config = parse_config(args.config)
         else:

@@ -185,6 +185,9 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
             )
     if not config.strategy_list():
         raise ConfigError(f"{source}: strategies must name at least one strategy")
+    if config.loop != "pool" and config.strategy_list() != ["uncertainty"]:
+        raise ConfigError(f"{source}: the {config.loop} loop scores by epistemic uncertainty "
+                          "only; set strategies = uncertainty")
     if not config.seed_list():
         raise ConfigError(f"{source}: seeds must name at least one master seed")
     try:

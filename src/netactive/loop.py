@@ -19,9 +19,9 @@ from .acquisition import (
     _min_distances,
     decide_acquisition,
 )
-from .bayesian import Committee, committee_train, mc_predict
+from .bayesian import Committee, mc_predict
 from .dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, DataPool, Sample, fit_normalizer
-from .neural import NetworkSpec, TrainHyper, init_params, predict, train
+from .neural import NetworkParams, NetworkSpec, TrainHyper, init_params, predict, train
 from .synth import TwinWorld, fit_gmm, realize_scenario, sample_gmm, twin_label
 
 STREAM_MIN_HISTORY = 10  # arrivals observed before the rolling threshold is trusted
@@ -231,11 +231,12 @@ class TwinOracle(PoolOracle):
         """Induce a proposed scenario in the twin world, observe its label and
         register the result as a labeled sample acquired at `iteration`.
 
-        Charges one annotation plus one collection."""
-        self.budget.charge(self.budget.annotation_cost + self.budget.collection_cost)
+        Charges one annotation plus one collection once the twin world has
+        labeled the scenario, so a failure leaves budget and pool untouched."""
         rng = self._next_rng()
         raw = realize_scenario(self.world, np.asarray(features, dtype=float), rng)
         label = twin_label(self.world, raw, int(rng.integers(0, 2**31)))
+        self.budget.charge(self.budget.annotation_cost + self.budget.collection_cost)
         sample = Sample(id=self.pool.allocate_id(), features=raw, label=label,
                         origin=ORIGIN_SYNTHESIZED, iteration_acquired=iteration)
         self.pool.add_labeled(sample)
@@ -248,15 +249,17 @@ class TwinOracle(PoolOracle):
 
 
 class _LoopState:
-    """Model, folds, label scaling and the learning curve shared by the loop
-    drivers.  record() writes every curve row, each after checking the pool's
-    invariants; the drivers decide, and the oracle makes every acquisition
-    write."""
+    """Model, committee, folds, label scaling and the learning curve shared by
+    the loop drivers.  fit() makes every training call and record() writes
+    every curve row, each after checking the pool's invariants; the drivers
+    decide, and the oracle makes every acquisition write."""
 
-    def __init__(self, config: LoopConfig, pool: DataPool, budget: Budget, master_seed: int):
+    def __init__(self, config: LoopConfig, pool: DataPool, oracle: PoolOracle, master_seed: int):
+        if oracle.pool is not pool:
+            raise ValueError("the oracle is bound to another pool than the loop's")
         self.config = config
         self.pool = pool
-        self.budget = budget
+        self.budget = oracle.budget
         self.master_seed = master_seed
         self.curve = LearningCurve()
         if pool.normalizer is None:
@@ -279,9 +282,9 @@ class _LoopState:
         seed_labels = pool.labels_of(seed_ids)
         self.label_mean = float(seed_labels.mean())
         self.label_std = max(float(seed_labels.std()), 1e-8)
-        self.params = init_params(
-            config.spec, seeding.derive_seed(master_seed, seeding.STREAM_INIT)
-        )
+        # the fresh initialization every cold restart trains from; train copies it
+        self.init = init_params(config.spec, seeding.derive_seed(master_seed, seeding.STREAM_INIT))
+        self.params = self.init
         self.committee: Committee | None = None
         self.x_test = pool.normalized_features(pool.test)  # the test partition never changes
         self.y_test = pool.labels_of(pool.test)
@@ -295,46 +298,35 @@ class _LoopState:
         return predict(self.params, x) * self.label_std + self.label_mean
 
     def fit(self, iteration: int, epochs: int) -> None:
-        """Warm-start from the current parameters; cold restart retrains
-        from the same fresh initialization with the full initial schedule."""
+        """Train the model, and for qbc the committee.  A warm start continues
+        from the current parameters; a cold restart starts over from the fresh
+        initializations, the model with the full initial schedule."""
         x, y = self.training_data()
+        cold = not self.config.warm_start and iteration > 0
         seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_TRAIN)
-        if self.config.warm_start or iteration == 0:
-            base = self.params
-        else:
-            base = init_params(
-                self.config.spec, seeding.derive_seed(self.master_seed, seeding.STREAM_INIT)
-            )
-            epochs = self.config.initial_epochs
-        self.params, _ = train(
-            base, x, y, epochs=epochs, batch_size=self.config.train_batch_size,
-            rng_seed=seed, hyper=self.config.hyper,
-        )
-        if not self.params.all_finite():
-            raise TrainingDiverged(
-                f"training produced non-finite parameters at iteration {iteration}"
-            )
+        diverged = f"training produced non-finite parameters at iteration {iteration}"
+        self.params = self._trained(self.init if cold else self.params, x, y,
+                                    self.config.initial_epochs if cold else epochs, seed, diverged)
+        if self.config.strategy != "qbc":
+            return
+        base = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_QBC)
+        fresh = self.committee is None or not self.config.warm_start
+        starts = ([init_params(self.config.spec, base + k) for k in range(self.config.qbc_members)]
+                  if fresh else self.committee.members)
+        self.committee = Committee(members=[
+            self._trained(start, x, y, epochs, base + k, f"committee {diverged}")
+            for k, start in enumerate(starts)
+        ])
 
-    def fit_committee(self, iteration: int, epochs: int) -> None:
-        x, y = self.training_data()
-        base_seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_QBC)
-        if self.committee is None or not self.config.warm_start:
-            self.committee = committee_train(
-                self.config.spec, x, y, self.config.qbc_members, base_seed,
-                epochs=epochs, batch_size=self.config.train_batch_size, hyper=self.config.hyper,
-            )
-        else:
-            members = []
-            for k, member in enumerate(self.committee.members):
-                p, _ = train(member, x, y, epochs=epochs,
-                             batch_size=self.config.train_batch_size,
-                             rng_seed=base_seed + k, hyper=self.config.hyper)
-                members.append(p)
-            self.committee = Committee(members=members)
-        if not all(m.all_finite() for m in self.committee.members):
-            raise TrainingDiverged(
-                f"committee training produced non-finite parameters at iteration {iteration}"
-            )
+    def _trained(self, start: NetworkParams, x: np.ndarray, y: np.ndarray, epochs: int,
+                 seed: int, diverged: str) -> NetworkParams:
+        """The loops' one call into `train`: `start` trained on (x, y), or
+        TrainingDiverged with message `diverged` if a parameter is non-finite."""
+        params, _ = train(start, x, y, epochs=epochs, batch_size=self.config.train_batch_size,
+                          rng_seed=seed, hyper=self.config.hyper)
+        if not params.all_finite():
+            raise TrainingDiverged(diverged)
+        return params
 
     def aleatoric(self) -> float:
         """Mean squared residual (Mbps^2) on the held-out fold."""
@@ -428,10 +420,8 @@ def run_pool_loop(
     if config.collect_policy.enabled and not oracle.has_twin_world:
         raise ValueError("collection is enabled but the oracle cannot collect")
 
-    state = _LoopState(config, pool, oracle.budget, rng_seed)
+    state = _LoopState(config, pool, oracle, rng_seed)
     state.fit(0, config.initial_epochs)
-    if config.strategy == "qbc":
-        state.fit_committee(0, config.initial_epochs)
     # The scored unlabeled set is the next cycle's candidate set: nothing
     # changes the unlabeled partition between scoring and selection.
     ids, x, stds = state.score_unlabeled(0)
@@ -464,8 +454,6 @@ def run_pool_loop(
             oracle.collect(decision.collect_region, decision.collect_count, iteration)
 
         state.fit(iteration, config.fine_tune_epochs)
-        if config.strategy == "qbc":
-            state.fit_committee(iteration, config.fine_tune_epochs)
         ids, x, stds = state.score_unlabeled(iteration)
         state.record(iteration, _mean(stds))
     return state.curve
@@ -495,7 +483,7 @@ def run_stream_loop(
     query cap is not hit.  The model fine-tunes every
     config.stream_retrain_every queries.  Returns the learning curve plus
     the full per-arrival decision log."""
-    state = _LoopState(config, pool, oracle.budget, rng_seed)
+    state = _LoopState(config, pool, oracle, rng_seed)
     state.fit(0, config.initial_epochs)
     seed_stds = state.epistemic_std_mbps(
         pool.normalized_features(pool.labeled),
@@ -559,7 +547,7 @@ def run_synthesis_loop(
     pool oracle snaps the proposal to its nearest unlabeled sample and
     annotates that (annotation cost), degrading gracefully to pool-based
     querying.  The curve's uncertainty column tracks a fixed probe set."""
-    state = _LoopState(config, pool, oracle.budget, rng_seed)
+    state = _LoopState(config, pool, oracle, rng_seed)
     state.fit(0, config.initial_epochs)
 
     if policy.probe_features is not None:

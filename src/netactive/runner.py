@@ -10,7 +10,7 @@ import numpy as np
 
 from . import seeding
 from .acquisition import Budget, CollectPolicy
-from .config import ConfigError, ExperimentConfig, format_config, load_categorical_map
+from .config import ExperimentConfig, format_config, load_categorical_map
 from .dataset import DataPool, Sample, fit_normalizer, load_csv, split_pool
 from .loop import (
     LearningCurve,
@@ -389,11 +389,3 @@ def export_query_geography(
             written.append(path)
     return written
 
-
-def check_config_for_run(config: ExperimentConfig) -> None:
-    """Extra harness-level guards before spending compute."""
-    if config.loop in ("stream", "synthesis") and len(config.strategy_list()) > 1:
-        raise ConfigError(
-            "stream and synthesis loops score by epistemic uncertainty only; "
-            "configure a single strategy"
-        )

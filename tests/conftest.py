@@ -3,7 +3,7 @@ import pytest
 
 from netactive.acquisition import Budget
 from netactive.dataset import DataPool, Normalizer, Sample
-from netactive.loop import LoopConfig, _LoopState
+from netactive.loop import LoopConfig, PoolOracle, _LoopState
 
 
 @pytest.fixture
@@ -23,7 +23,8 @@ def fixed_model_state():
             samples, labeled=range(n_lab), unlabeled=[], test=range(n_lab, len(samples)),
             normalizer=Normalizer(np.zeros(params.spec.n_inputs), np.ones(params.spec.n_inputs)),
         )
-        state = _LoopState(LoopConfig(spec=params.spec), pool, Budget(total=1.0), master_seed=0)
+        state = _LoopState(LoopConfig(spec=params.spec), pool, PoolOracle(pool, Budget(total=1.0)),
+                           master_seed=0)
         state.params = params
         state.label_mean, state.label_std = 0.0, 1.0
         state.val_ids = sorted(pool.labeled)

@@ -4,7 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from netactive.bayesian import MC_TILE_ROWS, Committee, committee_train, mc_predict
+from netactive import seeding
+from netactive.acquisition import Budget
+from netactive.bayesian import MC_TILE_ROWS, Committee, mc_predict
+from netactive.dataset import split_pool
+from netactive.loop import LoopConfig, PoolOracle, _LoopState
 from netactive.neural import (
     NetworkParams,
     NetworkSpec,
@@ -12,8 +16,9 @@ from netactive.neural import (
     draw_dropout_masks,
     forward,
     init_params,
-    predict,
+    train,
 )
+from netactive.synth import N_FEATURES, TwinWorld, generate_synthetic_dataset
 
 
 def two_unit_net():
@@ -234,56 +239,67 @@ class TestEstimateAleatoric:
             fixed_model_state(params, (np.zeros((0, 2)), []), (np.zeros((1, 2)), [0.0]))
 
 
+def qbc_state(warm_start=True, qbc_members=3):
+    """A pool-loop state on a small twin-world pool whose fit() also trains
+    a qbc committee."""
+    samples = generate_synthetic_dataset(TwinWorld(noise_std=25.0), 120, rng_seed=0)
+    pool = split_pool(samples, test_fraction=0.2, seed_labeled_fraction=0.3, rng_seed=0)
+    config = LoopConfig(
+        spec=NetworkSpec([N_FEATURES, 4, 1], dropout_rate=0.2),
+        hyper=TrainHyper(learning_rate=3e-3), strategy="qbc", qbc_members=qbc_members,
+        initial_epochs=4, train_batch_size=8, warm_start=warm_start,
+    )
+    return _LoopState(config, pool, PoolOracle(pool, Budget(total=10.0)), master_seed=5)
+
+
 class TestCommittee:
     def test_deterministic(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(30, 2))
-        y = np.abs(x[:, 0])
-        spec = NetworkSpec([2, 4, 1])
-        a = committee_train(spec, x, y, n_members=2, base_seed=5, epochs=3, batch_size=8)
-        b = committee_train(spec, x, y, n_members=2, base_seed=5, epochs=3, batch_size=8)
-        for ma, mb in zip(a.members, b.members):
-            for wa, wb in zip(ma.weights, mb.weights):
-                np.testing.assert_array_equal(wa, wb)
+        a, b = qbc_state(), qbc_state()
+        a.fit(0, 3)
+        b.fit(0, 3)
+        for ma, mb in zip(a.committee.members, b.committee.members, strict=True):
+            np.testing.assert_array_equal(ma.flat, mb.flat)
 
     def test_members_differ(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(30, 2))
-        y = np.abs(x[:, 0])
-        committee = committee_train(
-            NetworkSpec([2, 4, 1]), x, y, n_members=3, base_seed=5, epochs=3, batch_size=8
-        )
-        assert not np.array_equal(
-            committee.members[0].weights[0], committee.members[1].weights[0]
-        )
+        state = qbc_state()
+        state.fit(0, 3)
+        members = state.committee.members
+        assert not np.array_equal(members[0].weights[0], members[1].weights[0])
 
-    def test_every_member_learns_realizable_target(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(-1, 1, size=(50, 1))
-        y = 2.0 * x[:, 0]
-        spec = NetworkSpec([1, 16, 1], activation="relu")
-        committee = committee_train(
-            spec, x, y, n_members=3, base_seed=0, epochs=200, batch_size=8,
-            hyper=TrainHyper(learning_rate=0.01),
-        )
-        for member in committee.members:
-            residuals = predict(member, x) - y
-            assert float(np.mean(residuals**2)) < 1e-2
+    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+    def test_members_match_reference_training(self, warm_start):
+        # member k trains with seed base + k from the member it replaces on a
+        # warm start, and from init_params(spec, base + k) on the first fit
+        # and on every cold restart
+        state = qbc_state(warm_start=warm_start)
+        config, oracle = state.config, PoolOracle(state.pool, state.budget)
+        previous = None
+        for iteration, epochs in ((0, 4), (1, 2)):
+            if iteration:
+                for sid in state.pool.unlabeled[:3]:
+                    oracle.annotate(int(sid), iteration)
+            x, y = state.training_data()
+            state.fit(iteration, epochs)
+            base = seeding.derive_seed(5, iteration, seeding.STREAM_QBC)
+            for k, member in enumerate(state.committee.members):
+                start = previous[k] if previous else init_params(config.spec, base + k)
+                expected, _ = train(start, x, y, epochs, config.train_batch_size,
+                                    rng_seed=base + k, hyper=config.hyper)
+                assert np.array_equal(member.flat, expected.flat)
+            previous = state.committee.members if warm_start else None
 
     def test_members_own_their_memory(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(12, 2))
-        committee = committee_train(NetworkSpec([2, 4, 1], dropout_rate=0.2), x, x[:, 0],
-                                    n_members=3, base_seed=0, epochs=2, batch_size=4)
-        flats = [m.flat for m in committee.members]
+        state = qbc_state()
+        state.fit(0, 2)
+        state.fit(1, 2)  # warm: every member continues from its own parameters
+        flats = [m.flat for m in state.committee.members] + [state.params.flat]
         for i, a in enumerate(flats):
             for b in flats[i + 1 :]:
                 assert not np.shares_memory(a, b)
 
     def test_single_member_rejected(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            committee_train(NetworkSpec([2, 2, 1]), np.zeros((5, 2)), np.zeros(5),
-                            n_members=1, base_seed=0, epochs=1, batch_size=4)
+        with pytest.raises(ValueError, match="at least 2"):
+            qbc_state(qbc_members=1).fit(0, 1)
         with pytest.raises(ValueError, match="at least 2"):
             Committee(members=[init_params(NetworkSpec([2, 2, 1]), 0)])
 

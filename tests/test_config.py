@@ -67,6 +67,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown strategy"):
             parse_config(write(tmp_path, "strategies = psychic\n"))
 
+    @pytest.mark.parametrize("loop, strategies", [
+        ("stream", "random"), ("stream", "uncertainty,random"), ("synthesis", "qbc"),
+    ])
+    def test_stream_and_synthesis_need_uncertainty_alone(self, tmp_path, loop, strategies):
+        text = f"loop = {loop}\nstrategies = {strategies}\n"
+        with pytest.raises(ConfigError, match=f"the {loop} loop .* strategies = uncertainty"):
+            parse_config(write(tmp_path, text))
+        assert parse_config(write(tmp_path, f"loop = {loop}\nstrategies = uncertainty\n"))
+
     def test_infinite_budget_allowed(self, tmp_path):
         config = parse_config(write(tmp_path, "budget_total = inf\n"))
         assert math.isinf(config.budget_total)

@@ -1,7 +1,8 @@
 """Byte-level behaviour fingerprint: the seed-0 artifacts of the three shipped
 synthetic configs, of short coreset, hybrid and qbc runs of the benchmark
-config, of a short hybrid run with collection on, and of a short synthesis
-run fed from a CSV, must hash to the values recorded in CHANGES.md.
+config, of a short qbc run with cold restarts, of a short hybrid run with
+collection on, and of a short synthesis run fed from a CSV, must hash to the
+values recorded in CHANGES.md.
 
 Performance work on the kernels promises bit-for-bit identical results; this
 test checks that promise end to end through the CLI.  The hashes depend on
@@ -76,6 +77,15 @@ GOLDEN = {
             "ab23b6253e543eb19caa66474ea6c46c11a1c738ea958dd2fa0adf41245c072c",
         "summary.csv": "04cbad881778ba4a69632ca481dc776d41ce29590a750cab314fa4f3e28a0462",
     },
+    # qbc with cold restarts: the model and every member retrain from fresh
+    # initializations after each acquisition.
+    "synthetic_benchmark_qbc_cold": {
+        "annotations_qbc_seed0.csv":
+            "56ea7b6689bf959e65df5a12f3d7e209424756e2fa46b640e619aa28c566d525",
+        "curve_qbc_seed0.csv":
+            "5dc3ccf901d46b3d2c5570fbe09e9a1a3cd9a035d3f001447985406aba1f92ac",
+        "summary.csv": "e88a4fe0ea3a5361fa29466d6eb2df1c27f2e5a91e9cf229e4e129f0219ab96d",
+    },
     # The synthesis loop fed from a CSV: no twin world, so a plain pool
     # oracle snaps each proposal to its nearest unlabeled sample.
     "synthetic_synthesis_csv": {
@@ -94,11 +104,14 @@ OVERRIDES = {
     for strategy in ("coreset", "hybrid", "qbc")
 }
 OVERRIDES["synthetic_benchmark_collect"] = OVERRIDES["synthetic_benchmark_hybrid"]
+OVERRIDES["synthetic_benchmark_qbc_cold"] = (
+    "synthetic_benchmark", ["--strategy", "qbc", "--iterations", "2"])
 OVERRIDES["synthetic_synthesis_csv"] = ("synthetic_synthesis", ["--iterations", "3"])
 # case -> keys set in a copy of its config written next to the output; "{csv}"
 # names a CSV that `netactive synth --n 1500` writes there from the same config
 EXTRA_KEYS = {
     "synthetic_benchmark_collect": ["collect_enabled = true"],
+    "synthetic_benchmark_qbc_cold": ["warm_start = false", "initial_epochs = 200"],
     "synthetic_synthesis_csv": ["data_source = csv", "csv_path = {csv}",
                                 "categorical_column = mode",
                                 "categorical_map_path = configs/lumos5g_mode_map.txt"],

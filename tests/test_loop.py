@@ -214,6 +214,26 @@ class TestOracles:
         assert sample.origin == ORIGIN_SYNTHESIZED
         assert sample.label is not None
 
+    def test_twin_synthesize_failure_charges_nothing(self, monkeypatch):
+        from netactive import loop
+
+        world = small_world()
+        pool = small_pool(world=world)
+        budget = Budget(total=10.0, annotation_cost=1.0, collection_cost=0.25)
+        oracle = TwinOracle(pool, budget, world, rng_seed=5)
+        before, next_id = pool_columns(pool), pool.next_id
+
+        def failing_label(*args):
+            raise RuntimeError("twin world unreachable")
+
+        monkeypatch.setattr(loop, "twin_label", failing_label)
+        with pytest.raises(RuntimeError, match="unreachable"):
+            oracle.synthesize(pool.samples[0].features, iteration=1)
+        assert budget.spent == 0.0 and pool.next_id == next_id
+        after = pool_columns(pool)
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[k], before[k], equal_nan=True) for k in before)
+
     def test_twin_synthesize_registers_labeled_sample(self):
         world = small_world()
         pool = small_pool(world=world)
@@ -371,6 +391,38 @@ class TestPoolLoop:
             curves.append(run_pool_loop(config, pool, oracle, rng_seed=4))
         assert curves[0] == curves[1]
         assert curves[0].rows[-1].labeled_count == curves[0].rows[0].labeled_count + 8
+
+
+class TestOracleBinding:
+    """Every loop refuses an oracle that writes to another pool than its own,
+    before it trains anything."""
+
+    @pytest.fixture
+    def foreign(self, monkeypatch):
+        from netactive import loop
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the oracle was checked")
+
+        monkeypatch.setattr(loop, "train", no_training)
+        pool, other = small_pool(), small_pool()  # two copies of one split
+        return pool, PoolOracle(other, Budget(total=100.0))
+
+    def test_pool_loop(self, foreign):
+        pool, oracle = foreign
+        with pytest.raises(ValueError, match="another pool"):
+            run_pool_loop(small_config(iterations=1), pool, oracle, rng_seed=0)
+
+    def test_stream_loop(self, foreign):
+        pool, oracle = foreign
+        with pytest.raises(ValueError, match="another pool"):
+            run_stream_loop(small_config(), [], pool, oracle, StreamPolicy(), rng_seed=0)
+
+    def test_synthesis_loop(self, foreign):
+        pool, oracle = foreign
+        with pytest.raises(ValueError, match="another pool"):
+            run_synthesis_loop(small_config(iterations=1), pool, oracle, SynthesisPolicy(),
+                               rng_seed=0)
 
 
 def capture_decisions(monkeypatch, pool):

@@ -165,14 +165,16 @@ class TestRunExperiment:
         assert abs(float(rows[("uncertainty", "0")][3]) - expected) < 1e-9
 
     def test_diverged_committee_recorded(self, tmp_path, monkeypatch):
-        real_committee_train = loop.committee_train
+        first_member = seeding.derive_seed(0, 0, seeding.STREAM_QBC)
+        real_train = loop.train
 
-        def committee_train(*args, **kwargs):
-            committee = real_committee_train(*args, **kwargs)
-            committee.members[-1].flat[:] = np.inf
-            return committee
+        def train(params, *args, rng_seed, **kwargs):
+            trained, loss = real_train(params, *args, rng_seed=rng_seed, **kwargs)
+            if rng_seed == first_member:
+                trained.flat[:] = np.inf
+            return trained, loss
 
-        monkeypatch.setattr(loop, "committee_train", committee_train)
+        monkeypatch.setattr(loop, "train", train)
         with pytest.raises(RunsFailed, match="qbc seed 0: committee training produced non-finite"):
             run_experiment(fast_config(strategies="qbc", seeds="0"), output_dir=str(tmp_path))
         lines = read(str(tmp_path / "summary.csv")).splitlines()
@@ -298,6 +300,14 @@ class TestCli:
         bad.write_text("batch_size = -3\n")
         assert main(["run", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_stream_config_with_other_strategy_exit_code(self, tmp_path, capsys):
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic_stream.cfg")
+        out = tmp_path / "out"
+        assert main(["run", "--config", shipped, "--strategy", "random",
+                     "--output", str(out)]) == 1
+        assert "set strategies = uncertainty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 1
