@@ -51,6 +51,16 @@ class Budget:
     def can_afford(self, cost: float) -> bool:
         return cost <= self.remaining + 1e-9
 
+    def affordable(self, unit_cost: float, wanted: int, reserved: float = 0.0) -> int:
+        """The largest n <= wanted with can_afford(reserved + n * unit_cost), or 0.
+        Starts one past the floor estimate and steps down to what can_afford holds."""
+        if self.can_afford(reserved + wanted * unit_cost):
+            return wanted  # always so when the remaining budget is infinite
+        n = int(max(0.0, min(wanted, (self.remaining - reserved + 1e-9) / unit_cost + 1)))
+        while n > 0 and not self.can_afford(reserved + n * unit_cost):
+            n -= 1
+        return n
+
     def charge(self, cost: float) -> None:
         if cost < 0.0:
             raise ValueError("cannot charge a negative cost")
@@ -72,7 +82,6 @@ class AcquisitionDecision:
     annotate_ids: list[int]
     collect_count: int = 0
     collect_region: CollectRegion | None = None
-    cost: float = 0.0
 
     def __post_init__(self):
         if len(set(self.annotate_ids)) != len(self.annotate_ids):
@@ -214,11 +223,12 @@ def decide_acquisition(
 ) -> AcquisitionDecision:
     """Choose which unlabeled ids to annotate and how many new samples to collect.
 
-    The annotation batch is the strategy's top picks truncated to what the
-    remaining budget affords.  When collection is enabled, additionally
-    request floor(batch_size * collect_fraction) new samples (again budget
-    permitting) from a ball around the chosen batch: centroid of its
-    normalized features, radius their maximum distance to that centroid.
+    The annotation batch is the strategy's top picks truncated to what
+    budget.affordable allows.  When collection is enabled, additionally
+    request floor(batch_size * collect_fraction) new samples (as many as
+    budget.affordable allows after the batch) from a ball around the chosen
+    batch: centroid of its normalized features, radius their maximum
+    distance to that centroid.
 
     Raises BudgetExhausted when not even one annotation is affordable.
     """
@@ -231,11 +241,7 @@ def decide_acquisition(
         raise ValueError("no unlabeled candidates")
     collect_policy = collect_policy or CollectPolicy()
 
-    if math.isinf(budget.remaining):
-        by_budget = batch_size
-    else:
-        by_budget = int(math.floor(budget.remaining / budget.annotation_cost + 1e-9))
-    affordable = min(batch_size, by_budget, len(ids))
+    affordable = budget.affordable(budget.annotation_cost, min(batch_size, len(ids)))
     if affordable < 1:
         raise BudgetExhausted(
             f"remaining budget {budget.remaining} cannot cover one annotation"
@@ -260,24 +266,18 @@ def decide_acquisition(
             scores = hybrid_score(scores, dists, inputs.hybrid_beta)
         chosen = rank_uncertainty(ids, scores)[:affordable].tolist()
 
-    annotate_cost = len(chosen) * budget.annotation_cost
     collect_count = 0
     region = None
     if collect_policy.enabled:
         wanted = int(math.floor(batch_size * collect_policy.collect_fraction + 1e-9))
-        slack = budget.remaining - annotate_cost
-        if math.isinf(slack):
-            collect_count = wanted
-        else:
-            collect_count = min(wanted, int(math.floor(slack / budget.collection_cost + 1e-9)))
-        collect_count = max(collect_count, 0)
+        collect_count = budget.affordable(budget.collection_cost, wanted,
+                                          reserved=len(chosen) * budget.annotation_cost)
         if collect_count > 0:
             batch_points = inputs.candidate_features[np.searchsorted(ids, chosen)]
             centroid = batch_points.mean(axis=0)
             radius = float(np.sqrt(((batch_points - centroid) ** 2).sum(axis=1)).max())
             region = CollectRegion(centroid=centroid, radius=radius)
 
-    cost = annotate_cost + collect_count * budget.collection_cost
     return AcquisitionDecision(
-        annotate_ids=list(chosen), collect_count=collect_count, collect_region=region, cost=cost
+        annotate_ids=list(chosen), collect_count=collect_count, collect_region=region
     )

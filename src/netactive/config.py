@@ -155,26 +155,25 @@ def _parse_value(key: str, raw: str, kind: type, line_no: int):
         raise ConfigError(f"line {line_no}: key {key!r}: {exc}") from None
 
 
-def _check_range(key: str, value, line_no: int) -> None:
-    if key not in _RANGES:
-        return
-    low, high, low_inc, high_inc = _RANGES[key]
-    ok = True
-    if low is not None:
-        ok = ok and (value >= low if low_inc else value > low)
-    if high is not None:
-        ok = ok and (value <= high if high_inc else value < high)
-    if not ok:
-        lo = "[" if low_inc else "("
-        hi = "]" if high_inc else ")"
-        raise ConfigError(
-            f"line {line_no}: key {key!r}: value {value!r} outside range "
-            f"{lo}{low}, {high}{hi}"
-        )
+def _check_ranges(config: ExperimentConfig, source: str) -> None:
+    for key, (low, high, low_inc, high_inc) in _RANGES.items():
+        value = getattr(config, key)
+        ok = True
+        if low is not None:
+            ok = ok and (value >= low if low_inc else value > low)
+        if high is not None:
+            ok = ok and (value <= high if high_inc else value < high)
+        if not ok:
+            lo = "[" if low_inc else "("
+            hi = "]" if high_inc else ")"
+            raise ConfigError(
+                f"{source}: key {key!r}: value {value!r} outside range {lo}{low}, {high}{hi}"
+            )
 
 
 def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
-    """Cross-field checks plus referenced-file existence."""
+    """Range and cross-field checks plus referenced-file existence."""
+    _check_ranges(config, source)
     for key, choices in _CHOICES.items():
         if getattr(config, key) not in choices:
             raise ConfigError(f"{source}: key {key!r} must be one of {choices}")
@@ -188,8 +187,16 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
     if config.loop != "pool" and config.strategy_list() != ["uncertainty"]:
         raise ConfigError(f"{source}: the {config.loop} loop scores by epistemic uncertainty "
                           "only; set strategies = uncertainty")
-    if not config.seed_list():
+    try:
+        seeds = config.seed_list()
+    except ValueError:
+        raise ConfigError(f"{source}: seeds must be comma-separated integers") from None
+    if not seeds:
         raise ConfigError(f"{source}: seeds must name at least one master seed")
+    for key, items in (("strategies", config.strategy_list()), ("seeds", seeds)):
+        repeated = [item for k, item in enumerate(items) if item in items[:k]]
+        if repeated:
+            raise ConfigError(f"{source}: {key} names {repeated[0]!r} more than once")
     try:
         sizes = config.hidden_size_list()
     except ValueError:
@@ -229,9 +236,7 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}: line {line_no}: duplicate key {key!r}")
-            value = _parse_value(key, raw, types[key], line_no)
-            _check_range(key, value, line_no)
-            values[key] = value
+            values[key] = _parse_value(key, raw, types[key], line_no)
     config = ExperimentConfig(**values)
     validate_config(config, source=path)
     return config

@@ -415,8 +415,6 @@ def run_pool_loop(
     for a fixed config and master seed."""
     if not len(pool.unlabeled):
         raise ValueError("pool-based loop needs a non-empty unlabeled set")
-    if oracle.budget.total <= 0.0:
-        raise ValueError("budget must be positive")
     if config.collect_policy.enabled and not oracle.has_twin_world:
         raise ValueError("collection is enabled but the oracle cannot collect")
 
@@ -483,6 +481,9 @@ def run_stream_loop(
     query cap is not hit.  The model fine-tunes every
     config.stream_retrain_every queries.  Returns the learning curve plus
     the full per-arrival decision log."""
+    if config.strategy != "uncertainty":  # it ranks by MC-dropout; a committee goes unread
+        raise ValueError("the stream loop scores by epistemic uncertainty only, "
+                         f"not strategy {config.strategy!r}")
     state = _LoopState(config, pool, oracle, rng_seed)
     state.fit(0, config.initial_epochs)
     seed_stds = state.epistemic_std_mbps(
@@ -547,6 +548,9 @@ def run_synthesis_loop(
     pool oracle snaps the proposal to its nearest unlabeled sample and
     annotates that (annotation cost), degrading gracefully to pool-based
     querying.  The curve's uncertainty column tracks a fixed probe set."""
+    if config.strategy != "uncertainty":  # it ranks by MC-dropout; a committee goes unread
+        raise ValueError("the synthesis loop scores by epistemic uncertainty only, "
+                         f"not strategy {config.strategy!r}")
     state = _LoopState(config, pool, oracle, rng_seed)
     state.fit(0, config.initial_epochs)
 
@@ -591,23 +595,19 @@ def run_synthesis_loop(
         )
         # Stable sort keeps density-model order among ties (e.g. dropout 0).
         keep = np.argsort(-proposal_stds, kind="stable")[: config.batch_size]
-
-        realized = 0
+        if not oracle.has_twin_world:
+            keep = keep[: len(pool.unlabeled)]  # each proposal labels one unlabeled sample
+        keep = keep[: oracle.budget.affordable(per_sample_cost, len(keep))]
+        if not len(keep):
+            break
         for idx in keep:
-            if not oracle.budget.can_afford(per_sample_cost):
-                break
             if oracle.has_twin_world:
                 oracle.synthesize(proposals[idx], iteration)
             else:
                 ids = pool.unlabeled
-                if not len(ids):
-                    break
                 diff = pool.normalized_features(ids) - proposals_norm[idx]
                 sid = int(ids[np.argmin(np.sqrt((diff**2).sum(axis=1)))])  # nearest unlabeled
                 oracle.annotate(sid, iteration)
-            realized += 1
-        if realized == 0:
-            break
         state.fit(iteration, config.fine_tune_epochs)
         state.record(iteration, probe_std(iteration))
     return state.curve

@@ -225,6 +225,48 @@ class TestBudget:
                 budget.charge(c)
         assert 0.0 <= budget.spent <= budget.total
 
+    @given(
+        total=st.floats(min_value=0.0, max_value=1e6),
+        spent_share=st.floats(min_value=0.0, max_value=1.0),
+        unit_cost=st.floats(min_value=1e-12, max_value=1e4),
+        reserved_share=st.floats(min_value=0.0, max_value=1.2),
+        wanted=st.integers(min_value=0, max_value=10**12),
+        more=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_affordable_is_the_largest_affordable_count(
+        self, total, spent_share, unit_cost, reserved_share, wanted, more
+    ):
+        budget = Budget(total=total, spent=total * spent_share)
+        reserved = budget.remaining * reserved_share
+        n = budget.affordable(unit_cost, wanted, reserved=reserved)
+        assert 0 <= n <= wanted
+        if n > 0:
+            assert budget.can_afford(reserved + n * unit_cost)
+        if n < wanted:
+            assert not budget.can_afford(reserved + (n + 1) * unit_cost)
+        assert budget.affordable(unit_cost, wanted + more, reserved=reserved) >= n
+
+    def test_affordable_with_infinite_budget_is_wanted(self):
+        budget = Budget(total=math.inf, annotation_cost=1e300)
+        assert budget.affordable(1e300, 10**15, reserved=1e300) == 10**15
+
+    def test_affordable_counts_within_the_tolerance(self):
+        # can_afford's 1e-9 slack affords twice the floor estimate here ...
+        assert Budget(total=1e-9).affordable(1e-12, 10**6) == 2000
+        # ... and absorbs the rounding of 3 * 0.1 = 0.30000000000000004
+        assert Budget(total=0.3).affordable(0.1, 10) == 3
+        assert Budget(total=0.3).affordable(1000.0, 5) == 0
+
+
+def charge_like_pool_loop(budget, decision):
+    """Charge a decision the way run_pool_loop's oracle does: one annotation
+    at a time, then the whole collection at once."""
+    for _ in decision.annotate_ids:
+        budget.charge(budget.annotation_cost)
+    if decision.collect_count > 0:
+        budget.charge(decision.collect_count * budget.collection_cost)
+
 
 def uniform_inputs(n, seed=0, scores=None, points=None):
     rng = np.random.default_rng(seed)
@@ -247,7 +289,53 @@ class TestDecideAcquisition:
         budget = Budget(total=3.0, annotation_cost=1.0)
         decision = decide_acquisition("uncertainty", inputs, batch_size=4, budget=budget)
         assert len(decision.annotate_ids) == 3
-        assert decision.cost == 3.0
+        charge_like_pool_loop(budget, decision)
+        assert budget.spent == 3.0
+
+    @given(
+        annotations=st.integers(min_value=0, max_value=40),
+        collections=st.integers(min_value=0, max_value=40),
+        shortfall=st.floats(min_value=0.0, max_value=2e-9),
+        annotation_cost=st.floats(min_value=1e-3, max_value=1e3),
+        collection_cost=st.floats(min_value=1e-3, max_value=1e3),
+        batch_size=st.integers(min_value=1, max_value=40),
+        collect_fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_a_decision_is_always_chargeable(
+        self, annotations, collections, shortfall, annotation_cost, collection_cost, batch_size,
+        collect_fraction,
+    ):
+        # totals just short of a whole number of charges, by up to two
+        # cost-scaled tolerances: where a second sizing rule would overplan
+        total = annotations * annotation_cost + collections * collection_cost
+        total = max(0.0, total - shortfall * max(annotation_cost, collection_cost))
+        budget = Budget(total=total, annotation_cost=annotation_cost,
+                        collection_cost=collection_cost)
+        policy = CollectPolicy(enabled=True, collect_fraction=collect_fraction)
+        try:
+            decision = decide_acquisition("uncertainty", uniform_inputs(30), batch_size,
+                                          budget, policy)
+        except BudgetExhausted:
+            assert not budget.can_afford(annotation_cost)
+            return
+        charge_like_pool_loop(budget, decision)  # raises BudgetError on an overplan
+        assert budget.spent <= budget.total
+
+    @pytest.mark.parametrize("total, collect", [(999.9999995, False), (1999.9999995, True)])
+    def test_no_charge_planned_past_the_tolerance(self, total, collect):
+        # the old floor rule planned one more annotation (or collection) here
+        # than charge accepts, and the run aborted with BudgetError
+        budget = Budget(total=total, annotation_cost=1000.0, collection_cost=1000.0)
+        policy = CollectPolicy(enabled=collect, collect_fraction=1.0)
+        if not collect:
+            with pytest.raises(BudgetExhausted):
+                decide_acquisition("uncertainty", uniform_inputs(5), 1, budget, policy)
+            return
+        decision = decide_acquisition("uncertainty", uniform_inputs(5), 1, budget, policy)
+        assert (len(decision.annotate_ids), decision.collect_count) == (1, 0)
+        charge_like_pool_loop(budget, decision)
+        assert budget.spent == 1000.0
 
     def test_uncertainty_follows_ranking(self):
         inputs = uniform_inputs(3, scores={0: 0.1, 1: 0.9, 2: 0.5})
@@ -264,7 +352,8 @@ class TestDecideAcquisition:
             collect_policy=CollectPolicy(enabled=True, collect_fraction=0.5),
         )
         assert decision.collect_count == 2
-        assert decision.cost == 4 * 1.0 + 2 * 0.25
+        charge_like_pool_loop(budget, decision)
+        assert budget.spent == 4 * 1.0 + 2 * 0.25
         assert decision.collect_region is not None
         assert decision.collect_region.radius >= 0.0
 
@@ -295,7 +384,8 @@ class TestDecideAcquisition:
         )
         # 4 annotations leave 0.5 -> only 2 of the requested 4 collections
         assert decision.collect_count == 2
-        assert decision.cost <= budget.remaining
+        charge_like_pool_loop(budget, decision)
+        assert budget.spent <= budget.total
 
     def test_random_strategy_deterministic(self):
         inputs = uniform_inputs(20)

@@ -36,7 +36,7 @@ class TestParseConfig:
             parse_config(write(tmp_path, "iterations = 3\nbatchsize = 4\n"))
 
     def test_negative_batch_size_names_line(self, tmp_path):
-        with pytest.raises(ConfigError, match="line 1.*outside range"):
+        with pytest.raises(ConfigError, match="'batch_size': value -1 outside range"):
             parse_config(write(tmp_path, "batch_size = -1\n"))
 
     def test_malformed_value_names_line(self, tmp_path):
@@ -75,6 +75,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"the {loop} loop .* strategies = uncertainty"):
             parse_config(write(tmp_path, text))
         assert parse_config(write(tmp_path, f"loop = {loop}\nstrategies = uncertainty\n"))
+
+    @pytest.mark.parametrize("text, repeat", [
+        ("seeds = 0,1,0\n", "seeds names 0 more than once"),
+        ("strategies = random,uncertainty,random\n", "strategies names 'random' more than once"),
+    ], ids=["seed", "strategy"])
+    def test_repeated_seed_or_strategy_rejected(self, tmp_path, text, repeat):
+        with pytest.raises(ConfigError, match=repeat):
+            parse_config(write(tmp_path, text))
+
+    def test_non_integer_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seeds must be comma-separated integers"):
+            parse_config(write(tmp_path, "seeds = 0,one\n"))
 
     def test_infinite_budget_allowed(self, tmp_path):
         config = parse_config(write(tmp_path, "budget_total = inf\n"))
@@ -127,6 +139,14 @@ class TestValidateConfig:
     def test_categorical_column_needs_map(self):
         config = ExperimentConfig(categorical_column="mode")
         with pytest.raises(ConfigError, match="categorical_map_path"):
+            validate_config(config)
+
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", -3), ("batch_size", 0), ("budget_total", 0.0), ("stream_quantile", 1.0),
+    ])
+    def test_every_range_checked(self, key, value):
+        config = ExperimentConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"<config>: key '{key}': .* outside range"):
             validate_config(config)
 
     def test_hidden_sizes_must_be_ints(self):

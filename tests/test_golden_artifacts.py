@@ -1,8 +1,9 @@
 """Byte-level behaviour fingerprint: the seed-0 artifacts of the three shipped
 synthetic configs, of short coreset, hybrid and qbc runs of the benchmark
 config, of a short qbc run with cold restarts, of a short hybrid run with
-collection on, and of a short synthesis run fed from a CSV, must hash to the
-values recorded in CHANGES.md.
+collection on (once with the default infinite budget, once under a finite
+budget that binds), and of a short synthesis run fed from a CSV, must hash
+to the values recorded in CHANGES.md.
 
 Performance work on the kernels promises bit-for-bit identical results; this
 test checks that promise end to end through the CLI.  The hashes depend on
@@ -77,6 +78,15 @@ GOLDEN = {
             "ab23b6253e543eb19caa66474ea6c46c11a1c738ea958dd2fa0adf41245c072c",
         "summary.csv": "04cbad881778ba4a69632ca481dc776d41ce29590a750cab314fa4f3e28a0462",
     },
+    # hybrid with collection under a finite budget that binds in cycle 3: the
+    # cycle affords 4 annotations and 2 collections.
+    "synthetic_benchmark_budget": {
+        "annotations_hybrid_seed0.csv":
+            "a0ee5787889e10fd411c9890b2c30314b5bc50f840f0263bf9d7497175729448",
+        "curve_hybrid_seed0.csv":
+            "4c08fb7e52a2828a73244160fa09435d59a7140648692444ea80fb3a74dad77e",
+        "summary.csv": "d8a66c649a12fc348fd1224809268954de4c351ae1d0ee5d399aa89a5bb724a3",
+    },
     # qbc with cold restarts: the model and every member retrain from fresh
     # initializations after each acquisition.
     "synthetic_benchmark_qbc_cold": {
@@ -104,6 +114,7 @@ OVERRIDES = {
     for strategy in ("coreset", "hybrid", "qbc")
 }
 OVERRIDES["synthetic_benchmark_collect"] = OVERRIDES["synthetic_benchmark_hybrid"]
+OVERRIDES["synthetic_benchmark_budget"] = OVERRIDES["synthetic_benchmark_hybrid"]
 OVERRIDES["synthetic_benchmark_qbc_cold"] = (
     "synthetic_benchmark", ["--strategy", "qbc", "--iterations", "2"])
 OVERRIDES["synthetic_synthesis_csv"] = ("synthetic_synthesis", ["--iterations", "3"])
@@ -111,6 +122,7 @@ OVERRIDES["synthetic_synthesis_csv"] = ("synthetic_synthesis", ["--iterations", 
 # names a CSV that `netactive synth --n 1500` writes there from the same config
 EXTRA_KEYS = {
     "synthetic_benchmark_collect": ["collect_enabled = true"],
+    "synthetic_benchmark_budget": ["collect_enabled = true", "budget_total = 40.6"],
     "synthetic_benchmark_qbc_cold": ["warm_start = false", "initial_epochs = 200"],
     "synthetic_synthesis_csv": ["data_source = csv", "csv_path = {csv}",
                                 "categorical_column = mode",

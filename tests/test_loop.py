@@ -299,6 +299,13 @@ class TestPoolLoop:
         assert len(curve.rows) == 2
         assert oracle.budget.spent == 2.0
 
+    def test_zero_budget_records_only_iteration_zero(self):
+        pool = small_pool()
+        oracle = PoolOracle(pool, Budget(total=0.0))
+        curve = run_pool_loop(small_config(iterations=3), pool, oracle, rng_seed=0)
+        assert len(curve.rows) == 1
+        assert oracle.budget.spent == 0.0
+
     def test_reproducible_bit_identical(self, tmp_path):
         curves = []
         for run in range(2):
@@ -425,6 +432,34 @@ class TestOracleBinding:
                                rng_seed=0)
 
 
+class TestUncertaintyOnlyLoops:
+    """The stream and synthesis loops rank by MC-dropout alone: they refuse any
+    other strategy before they train a model or a committee they never read."""
+
+    @pytest.fixture
+    def untrained(self, monkeypatch):
+        from netactive import loop
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the strategy was checked")
+
+        monkeypatch.setattr(loop, "train", no_training)
+        pool = small_pool()
+        return pool, PoolOracle(pool, Budget(total=100.0))
+
+    def test_stream_loop(self, untrained):
+        pool, oracle = untrained
+        with pytest.raises(ValueError, match="the stream loop .* not strategy 'qbc'"):
+            run_stream_loop(small_config(strategy="qbc"), [], pool, oracle, StreamPolicy(),
+                            rng_seed=0)
+
+    def test_synthesis_loop(self, untrained):
+        pool, oracle = untrained
+        with pytest.raises(ValueError, match="the synthesis loop .* not strategy 'random'"):
+            run_synthesis_loop(small_config(strategy="random", iterations=1), pool, oracle,
+                               SynthesisPolicy(), rng_seed=0)
+
+
 def capture_decisions(monkeypatch, pool):
     """Record each cycle's AcquisitionInputs with the labeled features at
     that moment, through the loop's own decide_acquisition."""
@@ -537,10 +572,10 @@ class TestStreamLoop:
 
 
 class TestSynthesisLoop:
-    def _run(self, seed=0, oracle_kind="twin", **policy_overrides):
+    def _run(self, seed=0, oracle_kind="twin", budget_total=1000.0, **policy_overrides):
         world = small_world()
         pool = small_pool(world=world, seed=seed)
-        budget = Budget(total=1000.0)
+        budget = Budget(total=budget_total)
         if oracle_kind == "twin":
             oracle = TwinOracle(pool, budget, world, rng_seed=3)
         else:
@@ -574,6 +609,30 @@ class TestSynthesisLoop:
         assert realized == 3 * 4
         assert oracle.budget.spent == realized * oracle.budget.annotation_cost
         assert all(s.origin != ORIGIN_SYNTHESIZED for s in pool.samples.values())
+
+    @pytest.mark.parametrize("oracle_kind", ["twin", "pool"])
+    def test_zero_budget_records_only_iteration_zero(self, oracle_kind):
+        curve, _, oracle = self._run(oracle_kind=oracle_kind, budget_total=0.0)
+        assert len(curve.rows) == 1
+        assert oracle.budget.spent == 0.0
+
+    def test_budget_truncates_then_stops(self):
+        # 1.25 per synthesized sample: 4 in iteration 1, then 2 of 4, then stop
+        curve, _, oracle = self._run(budget_total=7.5)
+        assert [r.labeled_count - curve.rows[0].labeled_count for r in curve.rows] == [0, 4, 6]
+        assert oracle.budget.spent == 7.5
+
+    def test_snap_to_pool_stops_when_the_pool_empties(self):
+        world = small_world()
+        pool = small_pool(world=world)
+        oracle = PoolOracle(pool, Budget(total=1000.0))
+        for sid in pool.unlabeled[:-5]:  # leave five unlabeled samples
+            oracle.annotate(int(sid), iteration=0)
+        policy = SynthesisPolicy(gmm_components=2, gmm_em_iters=10, candidate_multiple=2,
+                                 probe_features=pool.feature_matrix(pool.labeled[:20]))
+        curve = run_synthesis_loop(small_config(iterations=3), pool, oracle, policy, rng_seed=0)
+        assert [r.labeled_count - curve.rows[0].labeled_count for r in curve.rows] == [0, 4, 5]
+        assert not len(pool.unlabeled)
 
     def test_zero_dropout_still_terminates(self):
         world = small_world()

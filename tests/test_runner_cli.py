@@ -309,6 +309,28 @@ class TestCli:
         assert "set strategies = uncertainty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--iterations", "-3", "iterations"), ("--batch-size", "0", "batch_size"),
+    ])
+    def test_out_of_range_override_exit_code(self, tmp_path, capsys, flag, value, key):
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "synthetic_benchmark.cfg")
+        out = tmp_path / "out"
+        assert main(["run", "--config", shipped, "--seed", "0", "--strategy", "random",
+                     flag, value, "--output", str(out)]) == 1
+        assert f"key '{key}': value {value} outside range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_charge_past_the_tolerance_is_never_planned(self, tmp_path):
+        # the old floor rule planned one annotation here that charge refused,
+        # and the run exited 2 without a summary
+        cfg = self._write_config(tmp_path, seeds="0", strategies="uncertainty",
+                                 annotation_cost=1000.0, budget_total=999.9999995)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert (out / "summary.csv").exists()
+        assert len(read_curve_csv(str(out / "curve_uncertainty_seed0.csv")).rows) == 1
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 1
 
