@@ -80,7 +80,11 @@ def mc_predict(
     group = max(1, MC_GROUP_ROWS // width)
     weights, biases, keep = params.weights, params.biases, spec.keep_prob
     hidden = [np.empty((min(group, n_passes), width, h)) for h in spec.hidden_sizes]
-    outs = np.empty((n_passes, n))
+    # One tile's passes at a time: a column's mean and variance reduce over
+    # its own passes only, so taking them per tile is bit for bit the same
+    # and scoring a large pool holds no (n_passes, n) matrix.
+    outs = np.empty((n_passes, width))
+    means, epistemic = np.empty(n), np.zeros(n)
     for lo, hi in zip(bounds, bounds[1:]):
         # (a * m) / keep and (a / keep) * m agree bit for bit for m in {0, 1},
         # so the first layer is divided by keep once per tile, not per pass
@@ -90,7 +94,7 @@ def mc_predict(
             passes = slice(start, start + group)
             # several tiles means one pass per group, so these slices of the
             # buffers and of the result are contiguous and reshape to views
-            out = outs[passes, lo:hi]
+            out = outs[passes, : hi - lo]
             a = hidden[0][: len(out), : hi - lo]
             np.multiply(first, masks[0][passes, None, :], out=a)
             for layer in range(1, len(hidden)):
@@ -107,6 +111,9 @@ def mc_predict(
             out = out.reshape(-1, 1)
             np.matmul(a.reshape(-1, a.shape[2]), weights[-1].T, out=out)
             np.add(out, biases[-1], out=out)
-    epistemic = outs.var(axis=0, ddof=1) if n_passes > 1 else np.zeros(n)
-    return outs.mean(axis=0), epistemic
+        tile_outs = outs[:, : hi - lo]
+        tile_outs.mean(axis=0, out=means[lo:hi])
+        if n_passes > 1:
+            tile_outs.var(axis=0, ddof=1, out=epistemic[lo:hi])
+    return means, epistemic
 

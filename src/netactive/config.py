@@ -99,6 +99,7 @@ _CHOICES = {
 # key -> (low, high, low_inclusive, high_inclusive); None means unbounded
 _RANGES = {
     "synthetic_n": (10, None, True, True),
+    "world_seed": (0, None, True, True),
     "world_noise_std": (0.0, None, True, True),
     "world_peak_rate": (0.0, None, False, True),
     "world_range_scale": (0.0, None, False, True),
@@ -136,7 +137,7 @@ _RANGES = {
     "probe_size": (1, None, True, True),
 }
 
-def _parse_value(key: str, raw: str, kind: type, line_no: int):
+def _parse_value(key: str, raw: str, kind: type, path: str, line_no: int):
     try:
         if kind is bool:
             lowered = raw.lower()
@@ -152,7 +153,7 @@ def _parse_value(key: str, raw: str, kind: type, line_no: int):
             return value
         return raw
     except ValueError as exc:
-        raise ConfigError(f"line {line_no}: key {key!r}: {exc}") from None
+        raise ConfigError(f"{path}: line {line_no}: key {key!r}: {exc}") from None
 
 
 def _check_ranges(config: ExperimentConfig, source: str) -> None:
@@ -193,6 +194,9 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
         raise ConfigError(f"{source}: seeds must be comma-separated integers") from None
     if not seeds:
         raise ConfigError(f"{source}: seeds must name at least one master seed")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"{source}: key 'seeds': master seeds must be non-negative, "
+                          f"got {min(seeds)}")
     for key, items in (("strategies", config.strategy_list()), ("seeds", seeds)):
         repeated = [item for k, item in enumerate(items) if item in items[:k]]
         if repeated:
@@ -203,6 +207,15 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
         raise ConfigError(f"{source}: hidden_sizes must be comma-separated integers") from None
     if any(s < 1 for s in sizes):
         raise ConfigError(f"{source}: hidden sizes must be positive")
+    # MC-dropout std is exactly 0 without a dropped hidden unit, and a
+    # ranking by it would fall back to ascending sample ids.
+    ranked_by_std = [s for s in config.strategy_list() if s in ("uncertainty", "hybrid")]
+    if ranked_by_std and not sizes:
+        raise ConfigError(f"{source}: key 'hidden_sizes': {ranked_by_std[0]} ranks candidates "
+                          "by MC-dropout std, which needs at least one hidden layer")
+    if ranked_by_std and config.dropout_rate == 0.0:
+        raise ConfigError(f"{source}: key 'dropout_rate': {ranked_by_std[0]} ranks candidates "
+                          "by MC-dropout std, which needs dropout_rate > 0")
     if config.data_source == "csv":
         if not config.csv_path:
             raise ConfigError(f"{source}: data_source=csv requires csv_path")
@@ -236,7 +249,7 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}: line {line_no}: duplicate key {key!r}")
-            values[key] = _parse_value(key, raw, types[key], line_no)
+            values[key] = _parse_value(key, raw, types[key], path, line_no)
     config = ExperimentConfig(**values)
     validate_config(config, source=path)
     return config

@@ -217,8 +217,9 @@ class BlockageZone:
     y_max: float
     attenuation: float
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Whether each point (x, y) lies in the zone; elementwise on arrays."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
 
 
 def _default_base_stations() -> np.ndarray:
@@ -264,126 +265,184 @@ class TwinWorld:
             raise ValueError("noise_std must be non-negative")
 
 
-def twin_label(world: TwinWorld, features: np.ndarray, noise_seed: int) -> float:
-    """Ground-truth throughput for a feature vector (Mbps, clamped at 0).
+# The kernels below work on whole batches of rows.  Bit-exactness with a
+# per-row evaluation rests on three rules: elementwise arithmetic,
+# comparisons, np.sqrt, np.radians, np.log10, % and argmin run in batch;
+# sin, cos, acos, exp and hypot run per element through `math` (numpy's
+# SIMD versions need not match libm); and the length-2 heading . bearing
+# product stays a BLAS dot per row (np.vecdot), which may fuse.  A random
+# draw rng.normal(loc, scale) is computed as loc + scale * z, with loc kept
+# even when it is 0.0.
+
+
+def _map(fn, values: np.ndarray) -> list[float]:
+    return [fn(v) for v in values.tolist()]
+
+
+def _station_geometry(world: TwinWorld, points: np.ndarray):
+    """Offsets (n, k, 2) from each point (n, 2) to each base station, and their lengths."""
+    deltas = world.base_stations[None, :, :] - points[:, None, :]
+    return deltas, np.sqrt((deltas * deltas).sum(axis=2))
+
+
+def _mode_terms(world: TwinWorld, mode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mode factor and orientation weight; unknown mode codes raise."""
+    factor = np.empty(mode.shape[0])
+    weight = np.empty(mode.shape[0])
+    known = np.zeros(mode.shape[0], dtype=bool)
+    for code, value in world.mode_factors.items():
+        rows = mode == code
+        factor[rows] = value
+        weight[rows] = world.mode_orientation_weights.get(code, 1.0)
+        known |= rows
+    if not known.all():
+        raise ValueError(f"unknown mode code {mode[~known][0]!r}")
+    return factor, weight
+
+
+def _label_noise(world: TwinWorld, noise_seed: int) -> float:
+    """The Gaussian label noise that `noise_seed` draws (0.0 in a noise-free world)."""
+    if world.noise_std > 0.0:
+        return np.random.default_rng(noise_seed).normal(0.0, world.noise_std)
+    return 0.0
+
+
+def _throughput(world: TwinWorld, features: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Ground-truth throughput of each feature row (Mbps, clamped at 0).
 
     Reads position, mode and compass from the schema; the rate is
     peak * exp(-d/range) scaled by mode, blockage and orientation factors,
-    plus Gaussian noise when noise_std > 0.  Deterministic per
-    (features, noise_seed)."""
+    plus each row's `noise` when noise_std > 0."""
+    x, y, mode, compass = features[:, 0], features[:, 1], features[:, 3], features[:, 4]
+    mode_factor, weight = _mode_terms(world, mode)
+    deltas, dists = _station_geometry(world, features[:, 0:2])
+    rows = np.arange(features.shape[0])
+    nearest = np.argmin(dists, axis=1)
+    d = dists[rows, nearest]
+
+    orientation = np.ones(features.shape[0])
+    far = ~(d < 1e-9)
+    if far.any():
+        radians = np.radians(compass[far])
+        heading = np.empty((radians.shape[0], 2))
+        heading[:, 0] = _map(math.cos, radians)
+        heading[:, 1] = _map(math.sin, radians)
+        to_bs = deltas[rows[far], nearest[far]] / d[far, None]
+        cos_angle = np.clip(np.vecdot(heading, to_bs), -1.0, 1.0)
+        lobes = world.orientation_lobes
+        lobe = (1.0 - np.array(_map(lambda c: math.cos(lobes * math.acos(c)), cos_angle))) / 2.0
+        orientation[far] = 1.0 - world.orientation_gain * weight[far] * lobe
+
+    attenuation = np.ones(features.shape[0])
+    for zone in world.blockage_zones:
+        attenuation = np.where(zone.contains(x, y), attenuation * zone.attenuation, attenuation)
+
+    rate = world.peak_rate * np.array(_map(math.exp, -d / world.range_scale))
+    rate = rate * (mode_factor * attenuation * orientation)
+    if world.noise_std > 0.0:
+        rate = rate + noise
+    return np.where(rate < 0.0, 0.0, rate)
+
+
+def twin_label(world: TwinWorld, features: np.ndarray, noise_seed: int) -> float:
+    """Ground-truth throughput for a feature vector (Mbps, clamped at 0).
+
+    Deterministic per (features, noise_seed); see `_throughput`."""
     f = np.asarray(features, dtype=float)
     if f.shape[0] < 5:
         raise ValueError("feature vector too short for the synthetic schema")
-    x, y = f[0], f[1]
-    mode_code = f[3]
-    if mode_code != int(mode_code) or int(mode_code) not in world.mode_factors:
-        raise ValueError(f"unknown mode code {mode_code!r}")
-    mode_factor = world.mode_factors[int(mode_code)]
-
-    deltas = world.base_stations - np.array([x, y])
-    dists = np.sqrt((deltas * deltas).sum(axis=1))
-    nearest = int(np.argmin(dists))
-    d = float(dists[nearest])
-
-    if d < 1e-9:
-        orientation = 1.0
-    else:
-        heading = np.array([math.cos(math.radians(f[4])), math.sin(math.radians(f[4]))])
-        to_bs = deltas[nearest] / d
-        cos_angle = float(np.clip(heading @ to_bs, -1.0, 1.0))
-        angle = math.acos(cos_angle)
-        lobe = (1.0 - math.cos(world.orientation_lobes * angle)) / 2.0
-        weight = world.mode_orientation_weights.get(int(mode_code), 1.0)
-        orientation = 1.0 - world.orientation_gain * weight * lobe
-
-    attenuation = 1.0
-    for zone in world.blockage_zones:
-        if zone.contains(float(x), float(y)):
-            attenuation *= zone.attenuation
-
-    rate = world.peak_rate * math.exp(-d / world.range_scale)
-    rate *= mode_factor * attenuation * orientation
-    if world.noise_std > 0.0:
-        rate += float(np.random.default_rng(noise_seed).normal(0.0, world.noise_std))
-    return max(rate, 0.0)
+    return float(_throughput(world, f[None, :], np.array([_label_noise(world, noise_seed)]))[0])
 
 
-def _loop_point(t: float) -> tuple[float, float, float]:
-    """Map perimeter position t in [0, LOOP_PERIMETER) to (x, y, tangent_deg)."""
+def _loop_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map perimeter positions t in [0, LOOP_PERIMETER) to (x, y, tangent_deg)."""
     half_w, half_h = LOOP_WIDTH / 2.0, LOOP_HEIGHT / 2.0
-    if t < LOOP_WIDTH:
-        return -half_w + t, -half_h, 0.0
-    t -= LOOP_WIDTH
-    if t < LOOP_HEIGHT:
-        return half_w, -half_h + t, 90.0
-    t -= LOOP_HEIGHT
-    if t < LOOP_WIDTH:
-        return half_w - t, half_h, 180.0
-    t -= LOOP_WIDTH
-    return -half_w, half_h - t, 270.0
+    t1 = t - LOOP_WIDTH
+    t2 = t1 - LOOP_HEIGHT
+    t3 = t2 - LOOP_WIDTH
+    side = [t < LOOP_WIDTH, t1 < LOOP_HEIGHT, t2 < LOOP_WIDTH]
+    flat = np.ones_like(t)
+    x = np.select(side, [-half_w + t, half_w * flat, half_w - t2], -half_w)
+    y = np.select(side, [-half_h * flat, -half_h + t1, half_h * flat], half_h - t3)
+    return x, y, np.select(side, [0.0, 90.0, 180.0], 270.0)
 
 
-def in_blockage(world: TwinWorld, x: float, y: float) -> float:
-    return 1.0 if any(z.contains(x, y) for z in world.blockage_zones) else 0.0
-
-
-def make_feature_vector(
-    world: TwinWorld,
-    pos: tuple[float, float],
-    speed: float,
-    mode: int,
-    compass_deg: float,
-    trajectory_deg: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Assemble the 19-feature vector: core coordinates plus noisy derived views."""
-    x, y = pos
-    deltas = world.base_stations - np.array([x, y])
-    true_d = np.sqrt((deltas * deltas).sum(axis=1))
-    dist_obs = np.maximum(true_d + rng.normal(0.0, 5.0, size=3), 0.0)
-    rss = -20.0 * np.log10(1.0 + true_d) + rng.normal(0.0, 2.0, size=3)
-    features = np.empty(N_FEATURES)
-    features[0] = x
-    features[1] = y
-    features[2] = speed
-    features[3] = float(mode)
-    features[4] = compass_deg
-    features[5] = trajectory_deg
-    features[6:9] = dist_obs
-    features[9:12] = rss
-    features[12] = float(np.argmin(true_d))
-    features[13] = in_blockage(world, x, y) + rng.normal(0.0, 0.1)
-    features[14] = math.hypot(x, y)
-    features[15] = math.sin(math.radians(compass_deg))
-    features[16] = math.cos(math.radians(compass_deg))
-    features[17] = math.sin(math.radians(trajectory_deg))
-    features[18] = math.cos(math.radians(trajectory_deg))
+def _observe(world: TwinWorld, core: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Feature rows: the core coordinates (n, 6) -- position, speed, mode,
+    compass and trajectory -- plus noisy derived views.  `z` (n, 7) holds
+    the standard normals of the distance, signal-strength and blockage
+    observation noise."""
+    x, y = core[:, 0], core[:, 1]
+    _, true_d = _station_geometry(world, core[:, 0:2])
+    blocked = np.zeros(core.shape[0], dtype=bool)
+    for zone in world.blockage_zones:
+        blocked |= zone.contains(x, y)
+    features = np.empty((core.shape[0], N_FEATURES))
+    features[:, 0:6] = core
+    features[:, 6:9] = np.maximum(true_d + (0.0 + 5.0 * z[:, 0:3]), 0.0)
+    features[:, 9:12] = -20.0 * np.log10(1.0 + true_d) + (0.0 + 2.0 * z[:, 3:6])
+    features[:, 12] = np.argmin(true_d, axis=1)
+    features[:, 13] = blocked + (0.0 + 0.1 * z[:, 6])
+    features[:, 14] = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    for col, degrees in ((15, core[:, 4]), (17, core[:, 5])):
+        radians = np.radians(degrees)
+        features[:, col] = _map(math.sin, radians)
+        features[:, col + 1] = _map(math.cos, radians)
     return features
 
 
+# Rows per generator block: bounds the batch temporaries, so building a
+# corpus holds little beyond its feature matrix.
+GENERATOR_BLOCK_ROWS = 4096
+
+
+def _draw_block(world: TwinWorld, rng: np.random.Generator, n: int):
+    """Feature rows and labels of the next n samples of `rng`'s corpus.
+
+    Each sample's random draws are made in one fixed order before any
+    math; then every row is computed in batch."""
+    uniform = np.empty((n, 2))  # perimeter position, mode
+    jitter = np.empty((n, 2))
+    z = np.empty((n, 10))  # speed, trajectory, compass, then the 7 observation normals
+    noise = np.empty(n)
+    for i in range(n):
+        uniform[i, 0] = rng.random()
+        rng.standard_normal(out=jitter[i])
+        uniform[i, 1] = rng.random()
+        rng.standard_normal(out=z[i])
+        noise[i] = _label_noise(world, int(rng.integers(0, 2**31)))
+
+    # rng.uniform(low, high) is low + (high - low) * rng.random()
+    bx, by, tangent = _loop_points(0.0 + LOOP_PERIMETER * uniform[:, 0])
+    walking = uniform[:, 1] < world.walking_fraction
+    core = np.empty((n, 6))
+    core[:, 0] = bx + (0.0 + POSITION_JITTER * jitter[:, 0])
+    core[:, 1] = by + (0.0 + POSITION_JITTER * jitter[:, 1])
+    core[:, 2] = np.abs(np.where(walking, 1.4 + 0.3 * z[:, 0], 8.0 + 2.0 * z[:, 0]))
+    core[:, 3] = np.where(walking, MODE_WALKING, MODE_DRIVING)
+    core[:, 5] = (tangent + (0.0 + 10.0 * z[:, 1])) % 360.0
+    core[:, 4] = (core[:, 5] + (0.0 + 25.0 * z[:, 2])) % 360.0
+    features = _observe(world, core, z[:, 3:])
+    return features, _throughput(world, features, noise)
+
+
 def generate_synthetic_dataset(world: TwinWorld, n: int, rng_seed: int) -> list[Sample]:
-    """Draw n labeled samples along the loop, deterministic per seed."""
+    """Draw n labeled samples along the loop, deterministic per seed.
+
+    The draws are made per sample in a fixed order and the math runs in
+    batch, so the first m samples of a corpus are the corpus of size m."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    samples = []
-    for i in range(n):
-        t = rng.uniform(0.0, LOOP_PERIMETER)
-        bx, by, tangent = _loop_point(t)
-        jitter = rng.normal(0.0, POSITION_JITTER, size=2)
-        pos = (bx + jitter[0], by + jitter[1])
-        mode = MODE_WALKING if rng.random() < world.walking_fraction else MODE_DRIVING
-        if mode == MODE_WALKING:
-            speed = abs(rng.normal(1.4, 0.3))
-        else:
-            speed = abs(rng.normal(8.0, 2.0))
-        trajectory = (tangent + rng.normal(0.0, 10.0)) % 360.0
-        compass = (trajectory + rng.normal(0.0, 25.0)) % 360.0
-        features = make_feature_vector(world, pos, speed, mode, compass, trajectory, rng)
-        noise_seed = int(rng.integers(0, 2**31))
-        label = twin_label(world, features, noise_seed)
-        samples.append(Sample(id=i, features=features, label=label, origin=ORIGIN_INGESTED))
-    return samples
+    features = np.empty((n, N_FEATURES))
+    labels = np.empty(n)
+    for lo in range(0, n, GENERATOR_BLOCK_ROWS):
+        hi = min(n, lo + GENERATOR_BLOCK_ROWS)
+        features[lo:hi], labels[lo:hi] = _draw_block(world, rng, hi - lo)
+    return [
+        Sample(id=i, features=features[i], label=label, origin=ORIGIN_INGESTED)
+        for i, label in enumerate(labels.tolist())
+    ]
 
 
 def project_to_schema(world: TwinWorld, features: np.ndarray) -> np.ndarray:
@@ -409,16 +468,9 @@ def realize_scenario(
     features are re-observed from the world so the record lies on the
     telemetry manifold instead of carrying the proposal's inconsistent
     derived values."""
-    core = project_to_schema(world, proposal)
-    return make_feature_vector(
-        world,
-        pos=(float(core[0]), float(core[1])),
-        speed=float(core[2]),
-        mode=int(core[3]),
-        compass_deg=float(core[4] % 360.0),
-        trajectory_deg=float(core[5] % 360.0),
-        rng=rng,
-    )
+    core = project_to_schema(world, proposal)[:6]
+    core[4:6] %= 360.0
+    return _observe(world, core[None, :], rng.standard_normal((1, 7)))[0]
 
 
 def write_synthetic_csv(samples: list[Sample], path: str) -> None:

@@ -112,6 +112,22 @@ class TestMcPredict:
         b = mc_row(params, x, n_passes=500, rng_seed=7)
         assert a == b
 
+    def test_large_matrix_holds_no_passes_by_rows_matrix(self):
+        # a large pool is reduced one tile at a time: the scoring peak stays
+        # well below one float64 (n_passes, n) matrix
+        import tracemalloc
+
+        params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
+        n, passes = 16 * MC_TILE_ROWS, 50
+        x = np.random.default_rng(0).normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            mc_predict(params, x, n_passes=passes, rng_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < passes * n * 8 / 2
+
     def test_single_pass_zero_variance(self):
         _, params = two_unit_net()
         _, var = mc_row(params, np.array([0.1, 0.2]), n_passes=1, rng_seed=0)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -42,6 +43,12 @@ class TestParseConfig:
     def test_malformed_value_names_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(write(tmp_path, "iterations = three\n"))
+
+    def test_malformed_value_names_path(self, tmp_path):
+        path = write(tmp_path, "iterations = three\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"{path}: line 1: key 'iterations': ")
 
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -148,6 +155,35 @@ class TestValidateConfig:
         config = ExperimentConfig(**{key: value})
         with pytest.raises(ConfigError, match=f"<config>: key '{key}': .* outside range"):
             validate_config(config)
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-2"])
+    def test_negative_master_seed_rejected(self, seeds):
+        with pytest.raises(ConfigError, match="<config>: key 'seeds': .*non-negative"):
+            validate_config(ExperimentConfig(seeds=seeds))
+
+    def test_negative_world_seed_rejected(self):
+        with pytest.raises(ConfigError, match="<config>: key 'world_seed': value -1 outside"):
+            validate_config(ExperimentConfig(world_seed=-1))
+
+    @pytest.mark.parametrize("strategies, loop", [
+        ("uncertainty", "pool"), ("random,hybrid", "pool"),
+        ("uncertainty", "stream"), ("uncertainty", "synthesis"),
+    ])
+    @pytest.mark.parametrize("key, value", [("hidden_sizes", ""), ("dropout_rate", 0.0)])
+    def test_std_ranking_needs_dropout(self, strategies, loop, key, value):
+        config = ExperimentConfig(strategies=strategies, loop=loop, **{key: value})
+        with pytest.raises(ConfigError, match=f"<config>: key '{key}': .*MC-dropout std"):
+            validate_config(config)
+
+    @pytest.mark.parametrize("key, value", [("hidden_sizes", ""), ("dropout_rate", 0.0)])
+    def test_other_strategies_run_without_dropout(self, key, value):
+        validate_config(ExperimentConfig(strategies="random,qbc,coreset", **{key: value}))
+
+    @pytest.mark.parametrize("name", [
+        "synthetic_benchmark.cfg", "synthetic_stream.cfg", "synthetic_synthesis.cfg",
+    ])
+    def test_shipped_configs_accepted(self, name):
+        parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
 
     def test_hidden_sizes_must_be_ints(self):
         config = ExperimentConfig(hidden_sizes="64,potato")

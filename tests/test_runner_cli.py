@@ -321,6 +321,30 @@ class TestCli:
         assert f"key '{key}': value {value} outside range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "synthetic_benchmark.cfg")
+        out = tmp_path / "out"
+        assert main(["run", "--config", shipped, "--seed", "-1", "--strategy", "random",
+                     "--iterations", "0", "--output", str(out)]) == 1
+        assert "<cli overrides>: key 'seeds'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_world_seed_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, world_seed=-1, output_dir=str(out))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key 'world_seed': value -1 outside range" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_zero_dropout_uncertainty_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, dropout_rate=0.0, output_dir=str(out))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key 'dropout_rate': " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_charge_past_the_tolerance_is_never_planned(self, tmp_path):
         # the old floor rule planned one annotation here that charge refused,
         # and the run exited 2 without a summary

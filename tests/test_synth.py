@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from netactive import synth
 from netactive.dataset import load_csv, split_pool
 from netactive.neural import NetworkSpec, TrainHyper, init_params, predict, train
 from netactive.synth import (
@@ -16,6 +18,7 @@ from netactive.synth import (
     generate_synthetic_dataset,
     gmm_log_likelihood,
     project_to_schema,
+    realize_scenario,
     sample_gmm,
     twin_label,
     write_synthetic_csv,
@@ -219,6 +222,57 @@ class TestGenerateSyntheticDataset:
         residuals = predict(params, x_test) - y_test
         rmse = np.sqrt(np.mean(residuals * residuals))
         assert rmse < y_test.std()
+
+
+def _corpus_digest(samples) -> str:
+    h = hashlib.sha256()
+    h.update(np.stack([s.features for s in samples]).tobytes())
+    h.update(np.array([s.label for s in samples]).tobytes())
+    return h.hexdigest()
+
+
+ALT_WORLD = dict(noise_std=0.0, orientation_lobes=2, blockage_zones=[], walking_fraction=0.3)
+
+
+class TestCorpusFingerprint:
+    """A corpus is a pure function of (world, n, seed): these digests pin its
+    features and labels bit for bit across any rewrite of the generator."""
+
+    @pytest.mark.parametrize("world_kwargs, digest", [
+        ({}, "04154bd84e18ac4d97e838fa77470819526ffd2e7917395b02ac977be9bff440"),
+        (ALT_WORLD, "8f5c6e0145e7bcfdc1c179d19d02fb69d1a03ec850fb6a7c8a50504188412a84"),
+    ], ids=["default_world", "alt_world"])
+    def test_corpus_digest(self, world_kwargs, digest):
+        samples = generate_synthetic_dataset(TwinWorld(**world_kwargs), 5000, rng_seed=0)
+        assert _corpus_digest(samples) == digest
+
+    def test_realized_scenario_and_label(self):
+        world = TwinWorld()
+        proposal = np.array([12.5, -40.25, -1.5, 0.7, 725.0, -30.0] + [3.0] * 13)
+        raw = realize_scenario(world, proposal, np.random.default_rng(123))
+        assert raw.tolist() == [
+            12.5, -40.25, 0.0, 1.0, 5.0, 330.0,
+            203.31219622332335, 146.9774384898578, 101.91900889766329,
+            -46.025684387593124, -41.67072370309712, -38.53448272922678,
+            2.0, -0.06364636463709805, 42.14632249674935,
+            0.08715574274765817, 0.9961946980917455, -0.5000000000000004, 0.8660254037844384,
+        ]
+        assert twin_label(world, raw, 99) == 224.93030329982994
+
+    @pytest.mark.parametrize("world_kwargs", [{}, ALT_WORLD], ids=["default_world", "alt_world"])
+    def test_prefix_equals_smaller_corpus(self, world_kwargs):
+        world = TwinWorld(**world_kwargs)
+        full = generate_synthetic_dataset(world, 1000, rng_seed=3)
+        for n in (1, 3, 17):
+            small = generate_synthetic_dataset(world, n, rng_seed=3)
+            assert _corpus_digest(small) == _corpus_digest(full[:n]), f"n={n}"
+
+    def test_block_size_does_not_change_the_corpus(self, monkeypatch):
+        world = TwinWorld()
+        whole = generate_synthetic_dataset(world, 300, rng_seed=5)
+        monkeypatch.setattr(synth, "GENERATOR_BLOCK_ROWS", 7)
+        assert _corpus_digest(generate_synthetic_dataset(world, 300, rng_seed=5)) == (
+            _corpus_digest(whole))
 
 
 class TestProjectToSchema:
