@@ -49,9 +49,7 @@ from .neural import (
     backward,
     forward,
     init_params,
-    load_params,
     predict,
-    save_params,
     train,
 )
 from .synth import (

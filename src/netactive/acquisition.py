@@ -53,13 +53,17 @@ class Budget:
 
     def affordable(self, unit_cost: float, wanted: int, reserved: float = 0.0) -> int:
         """The largest n <= wanted with can_afford(reserved + n * unit_cost), or 0.
-        Starts one past the floor estimate and steps down to what can_afford holds."""
+        The rounded charge never falls as n grows, so a bisection finds it."""
         if self.can_afford(reserved + wanted * unit_cost):
             return wanted  # always so when the remaining budget is infinite
-        n = int(max(0.0, min(wanted, (self.remaining - reserved + 1e-9) / unit_cost + 1)))
-        while n > 0 and not self.can_afford(reserved + n * unit_cost):
-            n -= 1
-        return n
+        lo, hi = 0, wanted  # lo is 0 or affordable; hi is refused
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.can_afford(reserved + mid * unit_cost):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def charge(self, cost: float) -> None:
         if cost < 0.0:

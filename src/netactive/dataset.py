@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from collections.abc import Iterable, Mapping, Sequence
@@ -139,6 +140,14 @@ class DataPool:
         for sample, code in zip(samples, codes[ids].tolist()):
             self._add(sample, code)
         self.normalizer = normalizer
+
+    def copy(self) -> DataPool:
+        """An independent pool with the same rows.  The normalizer is shared:
+        nothing changes it in place."""
+        twin = copy.copy(self)
+        for name in _COLUMNS:
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
 
     def _reserve(self, rows: int) -> None:
         """Grow every column to >= `rows` rows, by at least 1/8: amortized O(1) per sample."""

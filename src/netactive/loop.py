@@ -3,8 +3,9 @@ arrival filtering, and density-model query synthesis."""
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -286,6 +287,8 @@ class _LoopState:
         self.init = init_params(config.spec, seeding.derive_seed(master_seed, seeding.STREAM_INIT))
         self.params = self.init
         self.committee: Committee | None = None
+        # the pool loop's last scoring: unlabeled ids, features and stds
+        self.candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.x_test = pool.normalized_features(pool.test)  # the test partition never changes
         self.y_test = pool.labels_of(pool.test)
 
@@ -298,34 +301,43 @@ class _LoopState:
         return predict(self.params, x) * self.label_std + self.label_mean
 
     def fit(self, iteration: int, epochs: int) -> None:
-        """Train the model, and for qbc the committee.  A warm start continues
-        from the current parameters; a cold restart starts over from the fresh
-        initializations, the model with the full initial schedule."""
+        """Train the model, and for qbc the committee."""
+        self.fit_model(iteration, epochs)
+        self.fit_committee(iteration, epochs)
+
+    def fit_model(self, iteration: int, epochs: int) -> None:
+        """Train the model: a warm start continues from the current parameters, a
+        cold restart starts over from the fresh initialization and full schedule."""
         x, y = self.training_data()
         cold = not self.config.warm_start and iteration > 0
         seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_TRAIN)
-        diverged = f"training produced non-finite parameters at iteration {iteration}"
         self.params = self._trained(self.init if cold else self.params, x, y,
-                                    self.config.initial_epochs if cold else epochs, seed, diverged)
+                                    self.config.initial_epochs if cold else epochs, seed, iteration)
+
+    def fit_committee(self, iteration: int, epochs: int) -> None:
+        """For qbc, train the committee: fresh members at its first fit and at
+        every cold restart, else a continuation of the current ones."""
         if self.config.strategy != "qbc":
             return
+        x, y = self.training_data()
         base = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_QBC)
         fresh = self.committee is None or not self.config.warm_start
         starts = ([init_params(self.config.spec, base + k) for k in range(self.config.qbc_members)]
                   if fresh else self.committee.members)
         self.committee = Committee(members=[
-            self._trained(start, x, y, epochs, base + k, f"committee {diverged}")
+            self._trained(start, x, y, epochs, base + k, iteration, "committee ")
             for k, start in enumerate(starts)
         ])
 
     def _trained(self, start: NetworkParams, x: np.ndarray, y: np.ndarray, epochs: int,
-                 seed: int, diverged: str) -> NetworkParams:
+                 seed: int, iteration: int, trainee: str = "") -> NetworkParams:
         """The loops' one call into `train`: `start` trained on (x, y), or
-        TrainingDiverged with message `diverged` if a parameter is non-finite."""
+        TrainingDiverged naming `iteration` if a parameter is non-finite."""
         params, _ = train(start, x, y, epochs=epochs, batch_size=self.config.train_batch_size,
                           rng_seed=seed, hyper=self.config.hyper)
         if not params.all_finite():
-            raise TrainingDiverged(diverged)
+            raise TrainingDiverged(
+                f"{trainee}training produced non-finite parameters at iteration {iteration}")
         return params
 
     def aleatoric(self) -> float:
@@ -348,6 +360,25 @@ class _LoopState:
         self.pool.check_invariants()
         self.curve.append(CurveRow(iteration, len(self.pool.labeled), self.budget.spent,
                                    self.rmse(), uncertainty, self.aleatoric()))
+
+    def fork(self, config: LoopConfig, oracle: PoolOracle) -> _LoopState:
+        """This pool-loop start for the cycles of config.strategy, acquiring
+        through `oracle`.  The oracle's pool is a copy of the start's pool or
+        the start's own, which the fork takes over with the curve; the start
+        is spent then.  The rest is never changed in place, so it is shared.
+        For qbc the committee is trained here, as part of iteration 0."""
+        if self.candidates is None:
+            raise ValueError("the start is spent: a fork took over its pool")
+        if replace(config, strategy=self.config.strategy) != self.config:
+            raise ValueError("a fork's config may differ from its start's in the strategy only")
+        fork = copy.copy(self)
+        fork.config, fork.pool, fork.budget = config, oracle.pool, oracle.budget
+        if oracle.pool is self.pool:
+            self.candidates = None  # the fork alone holds them, and drops them as it cycles
+        else:
+            fork.curve = LearningCurve(self.curve.rows[:])
+        fork.fit_committee(0, config.initial_epochs)
+        return fork
 
     def score_arrival(self, sample: Sample, index: int) -> float:
         """Register stream arrival `index` as unlabeled, its label hidden, and
@@ -412,21 +443,38 @@ def run_pool_loop(
 
     Stops at the configured iteration count, on budget exhaustion, or when
     the unlabeled pool empties, whichever comes first.  Bit-reproducible
-    for a fixed config and master seed."""
+    for a fixed config and master seed.  The one fork of the start takes
+    over `pool`, so the acquisitions land in it."""
+    return run_pool_cycles(start_pool_loop(config, pool, oracle, rng_seed), config, oracle)
+
+
+def start_pool_loop(
+    config: LoopConfig, pool: DataPool, oracle: PoolOracle, rng_seed: int
+) -> _LoopState:
+    """Iteration 0 of the pool loop: the seed fit, the first scoring and
+    curve row 0.  It draws on the master seed and the strategy-free config
+    alone, so every strategy on one master seed forks the same start."""
     if not len(pool.unlabeled):
         raise ValueError("pool-based loop needs a non-empty unlabeled set")
     if config.collect_policy.enabled and not oracle.has_twin_world:
         raise ValueError("collection is enabled but the oracle cannot collect")
 
-    state = _LoopState(config, pool, oracle, rng_seed)
-    state.fit(0, config.initial_epochs)
+    start = _LoopState(config, pool, oracle, rng_seed)
+    start.fit_model(0, config.initial_epochs)
     # The scored unlabeled set is the next cycle's candidate set: nothing
     # changes the unlabeled partition between scoring and selection.
-    ids, x, stds = state.score_unlabeled(0)
-    nearest = _NearestLabeled(pool) if config.strategy in ("coreset", "hybrid") else None
-    state.record(0, _mean(stds))
+    start.candidates = start.score_unlabeled(0)
+    start.record(0, _mean(start.candidates[2]))
+    return start
 
+
+def run_pool_cycles(start: _LoopState, config: LoopConfig, oracle: PoolOracle) -> LearningCurve:
+    """Cycles 1.. of the pool loop on a fork of `start` (see _LoopState.fork)
+    for config.strategy, acquiring through `oracle`."""
+    state = start.fork(config, oracle)
+    nearest = _NearestLabeled(state.pool) if config.strategy in ("coreset", "hybrid") else None
     for iteration in range(1, config.iterations + 1):
+        ids, x, stds = state.candidates
         if not len(ids):
             break
         inputs = AcquisitionInputs(
@@ -435,7 +483,7 @@ def run_pool_loop(
             epistemic_std=stds,
             committee_var=state.committee.disagreement(x) if config.strategy == "qbc" else None,
             nearest_labeled=nearest.update(ids, x) if nearest else None,
-            select_seed=seeding.derive_seed(rng_seed, iteration, seeding.STREAM_SELECT),
+            select_seed=seeding.derive_seed(state.master_seed, iteration, seeding.STREAM_SELECT),
             hybrid_beta=config.hybrid_beta,
         )
         try:
@@ -452,8 +500,8 @@ def run_pool_loop(
             oracle.collect(decision.collect_region, decision.collect_count, iteration)
 
         state.fit(iteration, config.fine_tune_epochs)
-        ids, x, stds = state.score_unlabeled(iteration)
-        state.record(iteration, _mean(stds))
+        state.candidates = state.score_unlabeled(iteration)
+        state.record(iteration, _mean(state.candidates[2]))
     return state.curve
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -336,67 +335,3 @@ def train(
     residuals = predict(params, x) - y
     return params, float(np.mean(residuals * residuals))
 
-
-def save_params(params: NetworkParams, path: str) -> None:
-    """Write a text checkpoint: spec header, then row-major values per layer.
-
-    The file is written beside `path` under a temporary name and renamed
-    over it, so a crash mid-write never leaves a truncated checkpoint."""
-    spec = params.spec
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("netparams 1\n")
-            fh.write("layers " + " ".join(str(s) for s in spec.layer_sizes) + "\n")
-            fh.write(f"activation {spec.activation}\n")
-            fh.write(f"dropout_rate {spec.dropout_rate!r}\n")
-            fh.write(f"weight_init_scale {spec.weight_init_scale!r}\n")
-            for w, b in zip(params.weights, params.biases):
-                fh.write(" ".join(repr(float(v)) for v in w.ravel()) + "\n")
-                fh.write(" ".join(repr(float(v)) for v in b.ravel()) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def load_params(path: str) -> NetworkParams:
-    """Read a save_params checkpoint.
-
-    A truncated file, a line with the wrong number of values or a
-    non-finite value raises ValueError naming the path and line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or not lines[0].startswith("netparams"):
-        raise ValueError(f"{path}: not a parameter checkpoint")
-
-    def words(no: int, count: int | None = None) -> list[str]:
-        if no >= len(lines):
-            raise ValueError(f"{path}: line {no + 1}: missing (truncated checkpoint)")
-        got = lines[no].split()
-        if count is not None and len(got) != count:
-            raise ValueError(f"{path}: line {no + 1}: expected {count} values, found {len(got)}")
-        return got
-
-    def values(no: int, count: int) -> np.ndarray:
-        out = np.array([float(v) for v in words(no, count)])
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"{path}: line {no + 1}: non-finite value")
-        return out
-
-    spec = NetworkSpec(
-        layer_sizes=[int(v) for v in words(1)[1:]],
-        activation=words(2, 2)[1],
-        dropout_rate=float(words(3, 2)[1]),
-        weight_init_scale=float(words(4, 2)[1]),
-    )
-    weights, biases = [], []
-    cursor = 5
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-        weights.append(values(cursor, fan_out * fan_in).reshape(fan_out, fan_in))
-        biases.append(values(cursor + 1, fan_out))
-        cursor += 2
-    return NetworkParams(spec=spec, weights=weights, biases=biases)

@@ -20,9 +20,11 @@ from .loop import (
     SynthesisPolicy,
     TrainingDiverged,
     TwinOracle,
-    run_pool_loop,
+    _LoopState,
+    run_pool_cycles,
     run_stream_loop,
     run_synthesis_loop,
+    start_pool_loop,
 )
 from .neural import NetworkSpec, TrainHyper
 from .synth import (
@@ -123,29 +125,57 @@ def make_budget(config: ExperimentConfig) -> Budget:
     )
 
 
-def run_single(
-    config: ExperimentConfig,
-    corpus: list[Sample],
-    world: TwinWorld | None,
-    strategy: str,
-    master_seed: int,
-) -> RunResult:
-    """One (strategy, seed) run; strategies sharing a master seed share the split."""
-    pool = split_pool(
+def make_oracle(
+    config: ExperimentConfig, world: TwinWorld | None, pool: DataPool, master_seed: int
+) -> PoolOracle:
+    """A fresh budget and the oracle that charges it, writing to `pool`."""
+    if world is None:
+        return PoolOracle(pool, make_budget(config))
+    return TwinOracle(pool, make_budget(config), world,
+                      seeding.derive_seed(master_seed, seeding.STREAM_COLLECT))
+
+
+def run_seed(
+    config: ExperimentConfig, corpus: list[Sample], world: TwinWorld | None, master_seed: int
+) -> dict[str, RunResult | TrainingDiverged]:
+    """Every strategy's run on one master seed, by strategy: its result, or
+    the TrainingDiverged that ended it.  The runs share one split, each on a
+    copy but the last, which takes over the split itself.  Pool-loop runs
+    also share one iteration 0: a start that each of them forks."""
+    split = split_pool(
         corpus, config.test_fraction, config.seed_labeled_fraction, rng_seed=master_seed
     )
-    pool.normalizer = fit_normalizer(pool)
-    budget = make_budget(config)
-    loop_config = make_loop_config(config, strategy, pool.n_features)
-    if world is not None:
-        oracle: PoolOracle = TwinOracle(
-            pool, budget, world, seeding.derive_seed(master_seed, seeding.STREAM_COLLECT)
-        )
-    else:
-        oracle = PoolOracle(pool, budget)
+    split.normalizer = fit_normalizer(split)
+    strategies = config.strategy_list()
+    oracles = [make_oracle(config, world, pool, master_seed)
+               for pool in [split.copy() for _ in strategies[1:]] + [split]]
+    try:
+        start = start_pool_loop(make_loop_config(config, strategies[-1], split.n_features),
+                                split, oracles[-1], master_seed) if config.loop == "pool" else None
+    except TrainingDiverged as exc:
+        return dict.fromkeys(strategies, exc)
+    outcomes: dict[str, RunResult | TrainingDiverged] = {}
+    for strategy, oracle in zip(strategies, oracles):
+        try:
+            outcomes[strategy] = run_single(config, world, strategy, oracle, master_seed, start)
+        except TrainingDiverged as exc:
+            outcomes[strategy] = exc
+    return outcomes
 
+
+def run_single(
+    config: ExperimentConfig,
+    world: TwinWorld | None,
+    strategy: str,
+    oracle: PoolOracle,
+    master_seed: int,
+    start: _LoopState | None,
+) -> RunResult:
+    """One (strategy, seed) run in the oracle's pool; a pool-loop run forks `start`."""
+    pool = oracle.pool
+    loop_config = make_loop_config(config, strategy, pool.n_features)
     if config.loop == "pool":
-        curve = run_pool_loop(loop_config, pool, oracle, master_seed)
+        curve = run_pool_cycles(start, loop_config, oracle)
     elif config.loop == "stream":
         arrivals = extract_stream_arrivals(
             pool, config.stream_arrivals,
@@ -234,19 +264,16 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> d
     corpus, world = load_corpus(config)
     strategies = config.strategy_list()
     seeds = config.seed_list()
-    results: dict[tuple[str, int], RunResult] = {}
-    failures: dict[tuple[str, int], Exception] = {}
-    for strategy in strategies:
-        for seed in seeds:
-            try:
-                result = run_single(config, corpus, world, strategy, seed)
-            except TrainingDiverged as exc:
-                failures[(strategy, seed)] = exc
-                continue
-            results[(strategy, seed)] = result
-            result.curve.to_csv(os.path.join(out, curve_filename(strategy, seed)))
-            write_annotations(result, os.path.join(out, annotations_filename(strategy, seed)))
-
+    outcomes = {}
+    for seed in seeds:
+        for strategy, outcome in run_seed(config, corpus, world, seed).items():
+            outcomes[(strategy, seed)] = outcome
+            if isinstance(outcome, RunResult):
+                outcome.curve.to_csv(os.path.join(out, curve_filename(strategy, seed)))
+                write_annotations(outcome, os.path.join(out, annotations_filename(strategy, seed)))
+    keys = [(strategy, seed) for strategy in strategies for seed in seeds]
+    results = {k: outcomes[k] for k in keys if isinstance(outcomes[k], RunResult)}
+    failures = {k: outcomes[k] for k in keys if k not in results}
     summary = build_summary(results, strategies, seeds)
     write_summary(summary, os.path.join(out, "summary.csv"))
     if failures:

@@ -22,9 +22,10 @@ from netactive.loop import (
     StreamPolicy,
     SynthesisPolicy,
     TwinOracle,
-    run_pool_loop,
+    run_pool_cycles,
     run_stream_loop,
     run_synthesis_loop,
+    start_pool_loop,
 )
 from netactive.neural import (
     NetworkParams,
@@ -213,19 +214,20 @@ def benchmark_loop_config(strategy):
 
 @pytest.fixture(scope="module")
 def benchmark_battery():
-    """10 paired (uncertainty, random) runs on the default synthetic world."""
+    """10 paired (uncertainty, random) runs on the default synthetic world.
+    Both strategies on a seed share its split and fork one iteration 0."""
     world = TwinWorld()
     corpus = generate_synthetic_dataset(world, 5000, rng_seed=0)
     runs = {}
-    for strategy in ("uncertainty", "random"):
-        for seed in BENCHMARK_SEEDS:
-            pool = split_pool(
-                corpus, test_fraction=0.2, seed_labeled_fraction=0.05, rng_seed=seed
-            )
-            pool.normalizer = fit_normalizer(pool)
-            budget = Budget(total=500.0, annotation_cost=1.0)
-            oracle = PoolOracle(pool, budget)
-            curve = run_pool_loop(benchmark_loop_config(strategy), pool, oracle, seed)
+    for seed in BENCHMARK_SEEDS:
+        split = split_pool(corpus, test_fraction=0.2, seed_labeled_fraction=0.05, rng_seed=seed)
+        split.normalizer = fit_normalizer(split)
+        oracles = {strategy: PoolOracle(pool, Budget(total=500.0, annotation_cost=1.0))
+                   for strategy, pool in (("uncertainty", split.copy()), ("random", split))}
+        start = start_pool_loop(benchmark_loop_config("random"), split, oracles["random"], seed)
+        for strategy, oracle in oracles.items():
+            pool, budget = oracle.pool, oracle.budget
+            curve = run_pool_cycles(start, benchmark_loop_config(strategy), oracle)
             runs[(strategy, seed)] = {
                 "curve": curve,
                 "pool": pool,

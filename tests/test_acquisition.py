@@ -247,6 +247,15 @@ class TestBudget:
             assert not budget.can_afford(reserved + (n + 1) * unit_cost)
         assert budget.affordable(unit_cost, wanted + more, reserved=reserved) >= n
 
+    def test_affordable_counts_past_a_rounded_estimate(self):
+        # 16384 + n * 1e-12 rounds to a multiple of ~3.6e-12: n = 1002 fits
+        # the tolerance although (remaining - reserved + 1e-9) / cost is 1000
+        budget = Budget(total=16384.0)
+        n = budget.affordable(1e-12, 1003, reserved=16384.0)
+        assert budget.can_afford(16384.0 + n * 1e-12)
+        assert not budget.can_afford(16384.0 + (n + 1) * 1e-12)
+        assert budget.affordable(1e-12, 1004, reserved=16384.0) == n
+
     def test_affordable_with_infinite_budget_is_wanted(self):
         budget = Budget(total=math.inf, annotation_cost=1e300)
         assert budget.affordable(1e300, 10**15, reserved=1e300) == 10**15

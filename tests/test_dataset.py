@@ -285,6 +285,19 @@ class TestDataPool:
         assert not pool.has_hidden_label(sid)
         pool.check_invariants()
 
+    def test_copy_is_independent(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        pool.normalizer = fit_normalizer(pool)
+        twin = pool.copy()
+        columns = {name: np.copy(v) for name, v in vars(pool).items() if isinstance(v, np.ndarray)}
+        twin.reveal(int(twin.unlabeled[0]), iteration=1)
+        twin.add_unlabeled(Sample(twin.allocate_id(), np.zeros(3), label=1.0))
+        for name, values in columns.items():
+            np.testing.assert_array_equal(getattr(pool, name), values)
+        assert pool.next_id == 20 and twin.next_id == 21
+        assert len(twin.labeled) == len(pool.labeled) + 1
+        assert twin.normalizer is pool.normalizer
+
     def test_reveal_rejects_non_unlabeled(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         sid = sorted(pool.test)[0]

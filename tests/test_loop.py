@@ -15,9 +15,11 @@ from netactive.loop import (
     SynthesisPolicy,
     TwinOracle,
     read_curve_csv,
+    run_pool_cycles,
     run_pool_loop,
     run_stream_loop,
     run_synthesis_loop,
+    start_pool_loop,
 )
 from netactive.neural import NetworkParams, NetworkSpec, TrainHyper
 from netactive.synth import N_FEATURES, TwinWorld, generate_synthetic_dataset
@@ -398,6 +400,89 @@ class TestPoolLoop:
             curves.append(run_pool_loop(config, pool, oracle, rng_seed=4))
         assert curves[0] == curves[1]
         assert curves[0].rows[-1].labeled_count == curves[0].rows[0].labeled_count + 8
+
+
+class TestPoolStartFork:
+    """One iteration 0 per master seed: each strategy's cycles run on a fork
+    of the start, and no fork shares a mutable thing with another."""
+
+    def _start(self, world, strategy="uncertainty"):
+        pool = small_pool(world=world)
+        oracle = TwinOracle(pool, Budget(total=1000.0), world, rng_seed=9)
+        return start_pool_loop(self._config(strategy), pool, oracle, rng_seed=0)
+
+    @staticmethod
+    def _config(strategy):
+        return small_config(strategy=strategy, iterations=3, qbc_members=2,
+                            collect_policy=CollectPolicy(enabled=True, collect_fraction=0.5))
+
+    def test_acquiring_in_one_fork_leaves_the_others(self):
+        world = small_world()
+        start = self._start(world)
+        row0 = dataclasses.replace(start.curve.rows[0])
+        pools = {"start": start.pool, "qbc": start.pool.copy(), "coreset": start.pool.copy()}
+        oracles = {s: TwinOracle(pools[s], Budget(total=1000.0), world, rng_seed=9)
+                   for s in ("qbc", "coreset")}
+        before = {name: pool_columns(pool) for name, pool in pools.items()}
+
+        qbc = run_pool_cycles(start, self._config("qbc"), oracles["qbc"])
+        assert len(pools["qbc"].labeled) > len(pools["start"].labeled)
+        for name in ("start", "coreset"):
+            for column, values in pool_columns(pools[name]).items():
+                np.testing.assert_array_equal(values, before[name][column])
+        assert start.curve.rows == [row0] and oracles["coreset"].budget.spent == 0.0
+        qbc_columns, qbc_spent = pool_columns(pools["qbc"]), oracles["qbc"].budget.spent
+
+        coreset = run_pool_cycles(start, self._config("coreset"), oracles["coreset"])
+        assert len(pools["coreset"].labeled) > len(pools["start"].labeled)
+        for column, values in pool_columns(pools["qbc"]).items():
+            np.testing.assert_array_equal(values, qbc_columns[column])
+        assert oracles["qbc"].budget.spent == qbc_spent and len(qbc.rows) == 4
+        assert start.curve.rows == [row0]
+        assert qbc.rows[0] == coreset.rows[0] == row0
+
+    @pytest.mark.parametrize("strategy", ["qbc", "coreset"])
+    def test_fork_equals_a_lone_run(self, strategy):
+        world = small_world()
+        start = self._start(world, strategy="random")
+        run_pool_cycles(start, self._config("random"),
+                        TwinOracle(start.pool.copy(), Budget(total=1000.0), world, rng_seed=9))
+        forked = run_pool_cycles(start, self._config(strategy),
+                                 TwinOracle(start.pool, Budget(total=1000.0), world, rng_seed=9))
+        pool = small_pool(world=world)
+        alone = run_pool_loop(self._config(strategy), pool,
+                              TwinOracle(pool, Budget(total=1000.0), world, rng_seed=9), 0)
+        assert forked == alone
+        for column, values in pool_columns(pool).items():
+            np.testing.assert_array_equal(values, pool_columns(start.pool)[column])
+
+    def test_lone_run_acquires_into_the_callers_pool(self):
+        world = small_world()
+        pool = small_pool(world=world)
+        seed_size, unlabeled = len(pool.labeled), len(pool.unlabeled)
+        oracle = TwinOracle(pool, Budget(total=1000.0), world, rng_seed=9)
+        curve = run_pool_loop(self._config("hybrid"), pool, oracle, rng_seed=0)
+        # three cycles of 4 annotations and 2 collected samples each
+        assert len(pool.labeled) == curve.rows[-1].labeled_count == seed_size + 3 * 4
+        assert len(pool.unlabeled) == unlabeled - 3 * 4 + 3 * 2
+        assert oracle.budget.spent == curve.rows[-1].budget_spent > 0.0
+
+    def test_owning_fork_spends_the_start(self):
+        world = small_world()
+        start = self._start(world)
+        run_pool_cycles(start, self._config("random"),
+                        TwinOracle(start.pool, Budget(total=1000.0), world, rng_seed=9))
+        oracle = TwinOracle(start.pool.copy(), Budget(total=1000.0), world, rng_seed=9)
+        with pytest.raises(ValueError, match="the start is spent"):
+            run_pool_cycles(start, self._config("uncertainty"), oracle)
+
+    def test_fork_config_differs_in_strategy_only(self):
+        world = small_world()
+        start = self._start(world)
+        oracle = TwinOracle(start.pool, Budget(total=1000.0), world, rng_seed=9)
+        with pytest.raises(ValueError, match="in the strategy only"):
+            run_pool_cycles(start, dataclasses.replace(self._config("random"), batch_size=2),
+                            oracle)
 
 
 class TestOracleBinding:

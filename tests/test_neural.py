@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,7 @@ from netactive.neural import (
     draw_dropout_masks,
     forward,
     init_params,
-    load_params,
     predict,
-    save_params,
     train,
 )
 
@@ -415,39 +411,7 @@ class TestTrain:
             train(params, np.zeros((0, 2)), np.zeros(0), epochs=1, batch_size=4, rng_seed=0)
 
 
-class TestCheckpoint:
-    def _saved(self, tmp_path):
-        spec = NetworkSpec([3, 5, 1], dropout_rate=0.25, activation="tanh",
-                           weight_init_scale=1.5)
-        params = init_params(spec, 21)
-        path = tmp_path / "params.txt"
-        save_params(params, str(path))
-        return params, path
-
-    def test_roundtrip_exact(self, tmp_path):
-        params, path = self._saved(tmp_path)
-        loaded = load_params(str(path))
-        assert loaded.spec == params.spec
-        for a, b in zip(params.weights, loaded.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(params.biases, loaded.biases):
-            np.testing.assert_array_equal(a, b)
-        assert [p.name for p in tmp_path.iterdir()] == ["params.txt"]  # no temp file left
-
-    # Lines 6-9 hold the [3, 5, 1] net's W1 (15 values), b1 (5), W2 (5), b2 (1).
-    @pytest.mark.parametrize("edit, message", [
-        (lambda lines: lines[:7], "line 8: missing"),
-        (lambda lines: lines[:5] + [" ".join(lines[5].split()[1:])] + lines[6:],
-         "line 6: expected 15 values, found 14"),
-        (lambda lines: lines[:7] + [" ".join(["nan"] + lines[7].split()[1:])] + lines[8:],
-         "line 8: non-finite"),
-    ], ids=["truncated", "short_weight_line", "nan_weight"])
-    def test_malformed_checkpoint_names_line(self, tmp_path, edit, message):
-        _, path = self._saved(tmp_path)
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-            load_params(str(path))
-
+class TestPredict:
     def test_predict_batch_matches_forward(self):
         params = init_params(NetworkSpec([4, 6, 1], activation="tanh"), 8)
         x = np.random.default_rng(3).normal(size=(7, 4))

@@ -180,6 +180,50 @@ class TestRunExperiment:
         lines = read(str(tmp_path / "summary.csv")).splitlines()
         assert lines[1] == "qbc,0,nan,nan,nan,"
 
+    def test_diverged_committee_fails_qbc_alone(self, tmp_path, monkeypatch):
+        # the committee trains after the fork: the other strategies on the seed complete
+        first_member = seeding.derive_seed(0, 0, seeding.STREAM_QBC)
+        real_train = loop.train
+
+        def train(params, *args, rng_seed, **kwargs):
+            trained, loss = real_train(params, *args, rng_seed=rng_seed, **kwargs)
+            if rng_seed == first_member:
+                trained.flat[:] = np.inf
+            return trained, loss
+
+        monkeypatch.setattr(loop, "train", train)
+        with pytest.raises(RunsFailed) as info:
+            run_experiment(fast_config(strategies="uncertainty,qbc,random", seeds="0",
+                                       qbc_members=2), output_dir=str(tmp_path))
+        assert list(info.value.failures) == [("qbc", 0)]
+        names = set(os.listdir(tmp_path))
+        for strategy in ("uncertainty", "random"):
+            assert {f"curve_{strategy}_seed0.csv", f"annotations_{strategy}_seed0.csv"} <= names
+        assert not any("qbc" in name for name in names)
+        summary = read(str(tmp_path / "summary.csv")).splitlines()
+        assert "qbc,0,nan,nan,nan," in summary
+        assert not any(line.startswith(("uncertainty,0,nan", "random,0,nan")) for line in summary)
+
+    def test_failures_named_strategy_major(self, tmp_path, diverge_seed):
+        # runs execute seed by seed, but failures and results read strategy by strategy
+        diverge_seed(0)
+        diverge_seed(2)
+        with pytest.raises(RunsFailed) as info:
+            run_experiment(fast_config(seeds="0,1,2"), output_dir=str(tmp_path))
+        order = [("uncertainty", 0), ("uncertainty", 2), ("random", 0), ("random", 2)]
+        assert list(info.value.failures) == order
+        cause = "training produced non-finite parameters at iteration 0"
+        named = "; ".join(f"{strategy} seed {seed}: {cause}" for strategy, seed in order)
+        assert str(info.value) == (
+            f"4 run(s) failed, the others were written to {tmp_path}: {named}"
+        )
+
+    def test_results_read_strategy_major(self, tmp_path):
+        done = run_experiment(fast_config(seeds="0,1,2", iterations=0), output_dir=str(tmp_path))
+        assert list(done["results"]) == [
+            (strategy, seed) for strategy in ("uncertainty", "random") for seed in (0, 1, 2)
+        ]
+
     def test_failed_run_leaves_its_pairings_empty(self, tmp_path):
         # a failed run is one missing from the results
         outcome = run_experiment(fast_config(seeds="0,1"), output_dir=str(tmp_path))
@@ -269,6 +313,44 @@ class TestGeographyExport:
         with pytest.raises(ValueError, match=rf"annotations_uncertainty_seed0\.csv, line {line}: "
                                              rf"{column} '{cell}' is not an integer"):
             export_query_geography(str(tmp_path), lon_index=0, lat_index=1)
+
+
+class TestSharedStart:
+    """Every strategy on a master seed forks one iteration 0: the bytes of a
+    run do not depend on which other strategies share its start, or in
+    what order."""
+
+    ALL = "uncertainty,random,qbc,coreset,hybrid"
+
+    def _config(self, tmp_path, strategies):
+        path = tmp_path / f"{strategies.replace(',', '_')}.cfg"
+        path.write_text(format_config(fast_config(
+            strategies=strategies, seeds="0,1", collect_enabled=True, qbc_members=2,
+        )))
+        return str(path)
+
+    def test_fork_bytes_equal_lone_and_reversed_runs(self, tmp_path):
+        together, reverse = tmp_path / "together", tmp_path / "reversed"
+        assert main(["run", "--config", self._config(tmp_path, self.ALL),
+                     "--output", str(together)]) == 0
+        backwards = ",".join(reversed(self.ALL.split(",")))
+        assert main(["run", "--config", self._config(tmp_path, backwards),
+                     "--output", str(reverse)]) == 0
+        runs = sorted(n for n in os.listdir(together) if n.startswith(("curve_", "annotations_")))
+        assert len(runs) == 20  # 5 strategies x 2 seeds x (curve, annotations)
+        assert sorted(n for n in os.listdir(reverse) if n.endswith(".csv")) == sorted(
+            runs + ["summary.csv"])
+        for name in runs:
+            assert read(str(together / name)) == read(str(reverse / name)), name
+        assert sorted(read(str(together / "summary.csv")).splitlines()) == sorted(
+            read(str(reverse / "summary.csv")).splitlines())
+        for strategy in self.ALL.split(","):
+            alone = tmp_path / f"alone_{strategy}"
+            assert main(["run", "--config", self._config(tmp_path, self.ALL),
+                         "--strategy", strategy, "--output", str(alone)]) == 0
+            for name in os.listdir(alone):
+                if name.startswith(("curve_", "annotations_")):
+                    assert read(str(alone / name)) == read(str(together / name)), name
 
 
 class TestCli:
