@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .parallel import run_parts
+
 STRATEGIES = ("random", "uncertainty", "qbc", "coreset", "hybrid")
 
 # The AcquisitionInputs arrays each strategy cannot decide without.
@@ -152,10 +154,31 @@ def rank_uncertainty(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def _min_distances(points: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to its nearest reference (inf if none)."""
+    """Euclidean distance from each point to its nearest reference (inf if none).
+
+    The points are split into parts by row (parallel.run_parts).  A row's
+    distance to a reference reduces over that row's features only, in the
+    same order whatever part it is in, so the result does not depend on
+    the number of parts."""
+    points = np.asarray(points, dtype=float)
+    references = np.asarray(references, dtype=float)
     best = np.full(len(points), np.inf)
-    for ref in np.asarray(references, dtype=float):
-        best = np.minimum(best, np.sqrt(((points - ref) ** 2).sum(axis=1)))
+
+    def part(lo: int, hi: int):
+        rows, part_best = points[lo:hi], best[lo:hi]
+        diff, dist = np.empty_like(rows), np.empty(hi - lo)  # the part's temporaries
+
+        def nearest() -> None:
+            for ref in references:
+                np.subtract(rows, ref, out=diff)
+                np.multiply(diff, diff, out=diff)  # bit for bit diff ** 2
+                diff.sum(axis=1, out=dist)
+                np.sqrt(dist, out=dist)
+                np.minimum(part_best, dist, out=part_best)
+
+        return nearest
+
+    run_parts(part, range(len(points) + 1))
     return best
 
 

@@ -13,6 +13,7 @@ from .neural import (
     draw_dropout_masks,
     predict,
 )
+from .parallel import run_parts
 
 MC_GROUP_ROWS = 256  # rows per stacked matrix product when scoring few rows
 MC_TILE_ROWS = 1024  # rows per tile of a large matrix; a multiple of 16
@@ -59,6 +60,11 @@ def mc_predict(
     2 * MC_TILE_ROWS - 1 rows: every row keeps the panel position it has in
     the whole-matrix product, and no tile is small enough to leave the
     matrix-matrix path.  A smaller matrix is one tile.
+
+    The tiles are scored in parts of whole tiles, one thread per part
+    (parallel.run_parts); a tile's arithmetic does not depend on the part
+    it falls in, so the bytes do not depend on the number of threads.  A
+    one-tile matrix is scored in the calling thread.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
@@ -73,47 +79,69 @@ def mc_predict(
     bounds = [*range(0, n - tile + 1, tile), n]
     # Within a tile, passes run in groups stacked into one (group * rows, h)
     # matrix, so a single row evaluates many passes per matrix product while
-    # a large tile runs one pass at a time.  Each hidden layer has one
-    # activation buffer, sized to the widest tile's first group and reused
-    # by every tile and group, so a tile's passes stay in cache.
-    width = bounds[-1] - bounds[-2]
-    group = max(1, MC_GROUP_ROWS // width)
+    # a large tile runs one pass at a time.  The group size follows the
+    # widest tile (the last), whichever part of the rows a tile falls in.
+    group = max(1, MC_GROUP_ROWS // (bounds[-1] - bounds[-2]))
     weights, biases, keep = params.weights, params.biases, spec.keep_prob
-    hidden = [np.empty((min(group, n_passes), width, h)) for h in spec.hidden_sizes]
-    # One tile's passes at a time: a column's mean and variance reduce over
-    # its own passes only, so taking them per tile is bit for bit the same
-    # and scoring a large pool holds no (n_passes, n) matrix.
-    outs = np.empty((n_passes, width))
     means, epistemic = np.empty(n), np.zeros(n)
-    for lo, hi in zip(bounds, bounds[1:]):
-        # (a * m) / keep and (a / keep) * m agree bit for bit for m in {0, 1},
-        # so the first layer is divided by keep once per tile, not per pass
-        first = _act(x[lo:hi] @ weights[0].T + biases[0], spec.activation)
-        np.divide(first, keep, out=first)
-        for start in range(0, n_passes, group):
-            passes = slice(start, start + group)
-            # several tiles means one pass per group, so these slices of the
-            # buffers and of the result are contiguous and reshape to views
-            out = outs[passes, : hi - lo]
-            a = hidden[0][: len(out), : hi - lo]
-            np.multiply(first, masks[0][passes, None, :], out=a)
-            for layer in range(1, len(hidden)):
-                prev, a = a, hidden[layer][: len(out), : hi - lo]
-                np.matmul(prev.reshape(-1, prev.shape[2]), weights[layer].T,
-                          out=a.reshape(-1, a.shape[2]))
-                np.add(a, biases[layer], out=a)
-                if spec.activation == "relu":
-                    np.maximum(a, 0.0, out=a)
-                else:
-                    np.tanh(a, out=a)
-                np.multiply(a, masks[layer][passes, None, :], out=a)
-                np.divide(a, keep, out=a)
-            out = out.reshape(-1, 1)
-            np.matmul(a.reshape(-1, a.shape[2]), weights[-1].T, out=out)
-            np.add(out, biases[-1], out=out)
-        tile_outs = outs[:, : hi - lo]
-        tile_outs.mean(axis=0, out=means[lo:hi])
-        if n_passes > 1:
-            tile_outs.var(axis=0, ddof=1, out=epistemic[lo:hi])
-    return means, epistemic
 
+    def part(lo: int, hi: int):
+        # The tiles of rows lo:hi, which start and end on tile bounds.  The
+        # part has its own buffers, sized to its widest tile (the last) and,
+        # for the hidden layers, its first group of passes, and reused by
+        # every tile and group of the part, so a tile's passes stay in cache.
+        # One tile's passes at a time: a column's mean and variance reduce
+        # over its own passes only, so taking them per tile is bit for bit
+        # the same and scoring a large pool holds no (n_passes, n) matrix.
+        tiles = [*range(lo, hi - tile + 1, tile), hi]
+        width = tiles[-1] - tiles[-2]
+        first = np.empty((width, spec.hidden_sizes[0]))
+        hidden = [np.empty((min(group, n_passes), width, h)) for h in spec.hidden_sizes]
+        outs = np.empty((n_passes, width))
+
+        def score() -> None:
+            for t_lo, t_hi in zip(tiles, tiles[1:]):
+                rows = t_hi - t_lo
+                # (a * m) / keep and (a / keep) * m agree bit for bit for m
+                # in {0, 1}, so the first layer is divided by keep once per
+                # tile, not per pass
+                z = first[:rows]
+                np.matmul(x[t_lo:t_hi], weights[0].T, out=z)
+                np.add(z, biases[0], out=z)
+                _act(z, spec.activation, out=z)
+                np.divide(z, keep, out=z)
+                for start in range(0, n_passes, group):
+                    passes = slice(start, start + group)
+                    # several tiles means one pass per group, so these slices
+                    # of the buffers and of the result are contiguous and
+                    # reshape to views
+                    out = outs[passes, :rows]
+                    a = hidden[0][: len(out), :rows]
+                    np.multiply(z, masks[0][passes, None, :], out=a)
+                    for layer in range(1, len(hidden)):
+                        prev, a = a, hidden[layer][: len(out), :rows]
+                        np.matmul(prev.reshape(-1, prev.shape[2]), weights[layer].T,
+                                  out=a.reshape(-1, a.shape[2]))
+                        np.add(a, biases[layer], out=a)
+                        _act(a, spec.activation, out=a)
+                        np.multiply(a, masks[layer][passes, None, :], out=a)
+                        np.divide(a, keep, out=a)
+                    out = out.reshape(-1, 1)
+                    np.matmul(a.reshape(-1, a.shape[2]), weights[-1].T, out=out)
+                    np.add(out, biases[-1], out=out)
+                tile_outs, mean, var = outs[:, :rows], means[t_lo:t_hi], epistemic[t_lo:t_hi]
+                tile_outs.mean(axis=0, out=mean)
+                if n_passes > 1:
+                    # numpy's var(axis=0, ddof=1) step by step, in place, so
+                    # no tile allocates a (n_passes, rows) temporary
+                    np.subtract(tile_outs, mean, out=tile_outs)
+                    np.multiply(tile_outs, tile_outs, out=tile_outs)
+                    tile_outs.sum(axis=0, out=var)
+                    np.divide(var, n_passes - 1, out=var)
+
+        return score
+
+    # Tiles are the parts' units, so every row keeps its tile, and its bits,
+    # whatever the number of parts.
+    run_parts(part, bounds)
+    return means, epistemic

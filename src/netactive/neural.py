@@ -140,10 +140,10 @@ class ForwardCache:
     masks: list[np.ndarray] | None
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
 
 
 def init_params(spec: NetworkSpec, rng_seed: int) -> NetworkParams:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netactive import parallel
 from netactive.acquisition import (
     AcquisitionInputs,
     Budget,
@@ -159,6 +161,33 @@ class TestMinDistances:
         points, references = rng.normal(size=(n, dim)) * scale, rng.normal(size=(m, dim)) * scale
         assert np.array_equal(_min_distances(points, references),
                               blocked_min_distances(points, references))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5000])
+    @pytest.mark.parametrize("m", [0, 272])
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, workers, n, m):
+        # parts as short as one row, so the smallest cases are split too
+        rng = np.random.default_rng(n + m)
+        points, references = rng.normal(size=(n, 19)), rng.normal(size=(m, 19))
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(parallel, "PART_ROWS", 1)
+        assert (_min_distances(points, references).tobytes()
+                == blocked_min_distances(points, references).tobytes())
+
+    def test_fewer_than_two_parts_of_rows_start_no_thread(self, monkeypatch):
+        # the pool loop's few collected candidates are measured in the
+        # calling thread; the patched start shows that 2 * PART_ROWS rows
+        # would start one
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(parallel, "WORKERS", 3)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        references = np.ones((272, 19))
+        for n in (0, 8, 2 * parallel.PART_ROWS - 1):
+            assert _min_distances(np.zeros((n, 19)), references).shape == (n,)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            _min_distances(np.zeros((2 * parallel.PART_ROWS, 19)), references)
 
     def test_no_references_gives_inf(self):
         assert np.array_equal(_min_distances(np.zeros((3, 2)), np.zeros((0, 2))),

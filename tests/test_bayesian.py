@@ -1,10 +1,11 @@
 import itertools
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from netactive import seeding
+from netactive import bayesian, parallel, seeding
 from netactive.acquisition import Budget
 from netactive.bayesian import MC_TILE_ROWS, Committee, mc_predict
 from netactive.dataset import split_pool
@@ -205,6 +206,55 @@ class TestMcPredict:
         ref_means, ref_vars = reference(params, x, n_passes=passes, rng_seed=8)
         np.testing.assert_array_equal(means, ref_means)
         np.testing.assert_array_equal(variances, ref_vars)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rows, hidden, passes", TILED_CASES)
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, workers, activation, rows,
+                                                 hidden, passes):
+        # whichever worker scores a tile, its rows keep the bits of the
+        # pass-by-pass reference
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        params = init_params(
+            NetworkSpec([3, *hidden, 1], dropout_rate=0.2, activation=activation), 5
+        )
+        x = np.random.default_rng(rows).normal(size=(rows, 3))
+        means, variances = mc_predict(params, x, n_passes=passes, rng_seed=8)
+        ref_means, ref_vars = reference_mc(params, x, n_passes=passes, rng_seed=8)
+        assert means.tobytes() == ref_means.tobytes()
+        assert variances.tobytes() == ref_vars.tobytes()
+
+    def test_one_tile_starts_no_thread(self, monkeypatch):
+        # a matrix below 2 * MC_TILE_ROWS rows, such as a stream arrival, is
+        # scored in the calling thread; the patched start shows that a
+        # two-tile matrix would start one
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(parallel, "WORKERS", 3)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
+        for rows in (1, 300, 2 * MC_TILE_ROWS - 1):
+            x = np.random.default_rng(rows).normal(size=(rows, 3))
+            assert mc_predict(params, x, n_passes=5, rng_seed=1)[1].shape == (rows,)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            mc_predict(params, np.zeros((2 * MC_TILE_ROWS, 3)), n_passes=5, rng_seed=1)
+
+    def test_failing_worker_fails_the_call(self, monkeypatch):
+        # a part scored off the calling thread raises; the call re-raises it
+        # instead of returning a partly filled result
+        def act(a, kind, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            return real_act(a, kind, out=out)
+
+        real_act = bayesian._act
+        monkeypatch.setattr(parallel, "WORKERS", 3)
+        monkeypatch.setattr(bayesian, "_act", act)
+        params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
+        x = np.random.default_rng(0).normal(size=(3 * MC_TILE_ROWS, 3))
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            mc_predict(params, x, n_passes=5, rng_seed=1)
 
     def test_empty_matrix_gives_empty_arrays(self):
         _, params = two_unit_net()
