@@ -44,7 +44,6 @@ from .neural import (
     AdamState,
     NetworkParams,
     NetworkSpec,
-    TrainHyper,
     adam_step,
     backward,
     forward,

@@ -10,15 +10,22 @@ import numpy as np
 
 from .parallel import run_parts
 
-STRATEGIES = ("random", "uncertainty", "qbc", "coreset", "hybrid")
-
-# The AcquisitionInputs arrays each strategy cannot decide without.
-_REQUIRED_INPUTS = {
+# The AcquisitionInputs arrays each strategy reads; the loops compute no others.
+STRATEGY_INPUTS = {
+    "random": (),
     "uncertainty": ("epistemic_std",),
     "qbc": ("committee_var",),
     "coreset": ("nearest_labeled",),
     "hybrid": ("epistemic_std", "nearest_labeled"),
 }
+STRATEGIES = tuple(STRATEGY_INPUTS)
+
+
+def strategy_inputs(strategy: str) -> tuple[str, ...]:
+    """The inputs `strategy` reads, or ValueError for an unknown strategy."""
+    if strategy not in STRATEGY_INPUTS:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    return STRATEGY_INPUTS[strategy]
 
 
 class BudgetError(RuntimeError):
@@ -111,17 +118,16 @@ class AcquisitionInputs:
     """Snapshot of model and pool state a strategy needs to score candidates.
 
     Row i of every per-candidate array belongs to candidate_ids[i], and the
-    ids ascend.  Feature vectors are in normalized space.  Which array must
-    be present depends on the strategy: epistemic_std for uncertainty and
-    hybrid, committee_var for qbc, nearest_labeled for coreset and hybrid.
+    ids ascend.  Feature vectors are in normalized space.  Which arrays must
+    be present depends on the strategy: STRATEGY_INPUTS names them.
 
     nearest_labeled[i] is candidate i's Euclidean distance to its nearest
     labeled point, as _min_distances gives it (inf for every candidate when
     there is no labeled point).  decide_acquisition never measures distances
     to the labeled set itself: the caller owns that vector.  run_pool_loop
-    carries it from one cycle to the next for coreset and hybrid and updates
-    only the rows and references that changed; select_core_set computes it
-    from scratch.
+    carries it from one cycle to the next for the strategies that read it,
+    and updates only the rows and references that changed; select_core_set
+    computes it from scratch.
     """
 
     candidate_ids: np.ndarray  # (n,) ints, ascending
@@ -259,8 +265,7 @@ def decide_acquisition(
 
     Raises BudgetExhausted when not even one annotation is affordable.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    required = strategy_inputs(strategy)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     ids = inputs.candidate_ids
@@ -274,7 +279,7 @@ def decide_acquisition(
             f"remaining budget {budget.remaining} cannot cover one annotation"
         )
 
-    for name in _REQUIRED_INPUTS.get(strategy, ()):
+    for name in required:
         if getattr(inputs, name) is None:
             raise ValueError(f"strategy {strategy!r} requires {name}")
 

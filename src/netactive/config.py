@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .acquisition import STRATEGIES
+from .acquisition import STRATEGIES, STRATEGY_INPUTS
 from .neural import ACTIVATIONS
 
 
@@ -209,7 +209,7 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
         raise ConfigError(f"{source}: hidden sizes must be positive")
     # MC-dropout std is exactly 0 without a dropped hidden unit, and a
     # ranking by it would fall back to ascending sample ids.
-    ranked_by_std = [s for s in config.strategy_list() if s in ("uncertainty", "hybrid")]
+    ranked_by_std = [s for s in config.strategy_list() if "epistemic_std" in STRATEGY_INPUTS[s]]
     if ranked_by_std and not sizes:
         raise ConfigError(f"{source}: key 'hidden_sizes': {ranked_by_std[0]} ranks candidates "
                           "by MC-dropout std, which needs at least one hidden layer")

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import seeding
 from .acquisition import (
+    STRATEGY_INPUTS,
     AcquisitionInputs,
     Budget,
     BudgetExhausted,
@@ -19,10 +20,11 @@ from .acquisition import (
     CollectRegion,
     _min_distances,
     decide_acquisition,
+    strategy_inputs,
 )
 from .bayesian import Committee, mc_predict
 from .dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, DataPool, Sample, fit_normalizer
-from .neural import NetworkParams, NetworkSpec, TrainHyper, init_params, predict, train
+from .neural import NetworkParams, NetworkSpec, init_params, predict, train
 from .synth import TwinWorld, fit_gmm, realize_scenario, sample_gmm, twin_label
 
 STREAM_MIN_HISTORY = 10  # arrivals observed before the rolling threshold is trusted
@@ -132,7 +134,7 @@ class LoopConfig:
     """Everything a loop needs beyond the pool, oracle and master seed."""
 
     spec: NetworkSpec
-    hyper: TrainHyper = field(default_factory=TrainHyper)
+    learning_rate: float = 1e-3
     strategy: str = "uncertainty"
     iterations: int = 10
     batch_size: int = 4
@@ -301,7 +303,7 @@ class _LoopState:
         return predict(self.params, x) * self.label_std + self.label_mean
 
     def fit(self, iteration: int, epochs: int) -> None:
-        """Train the model, and for qbc the committee."""
+        """Train the model, and the committee if the strategy reads one."""
         self.fit_model(iteration, epochs)
         self.fit_committee(iteration, epochs)
 
@@ -315,9 +317,9 @@ class _LoopState:
                                     self.config.initial_epochs if cold else epochs, seed, iteration)
 
     def fit_committee(self, iteration: int, epochs: int) -> None:
-        """For qbc, train the committee: fresh members at its first fit and at
-        every cold restart, else a continuation of the current ones."""
-        if self.config.strategy != "qbc":
+        """Train the committee if the strategy reads committee_var: fresh members
+        at its first fit and at every cold restart, else the current ones."""
+        if "committee_var" not in STRATEGY_INPUTS[self.config.strategy]:
             return
         x, y = self.training_data()
         base = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_QBC)
@@ -334,7 +336,7 @@ class _LoopState:
         """The loops' one call into `train`: `start` trained on (x, y), or
         TrainingDiverged naming `iteration` if a parameter is non-finite."""
         params, _ = train(start, x, y, epochs=epochs, batch_size=self.config.train_batch_size,
-                          rng_seed=seed, hyper=self.config.hyper)
+                          rng_seed=seed, learning_rate=self.config.learning_rate)
         if not params.all_finite():
             raise TrainingDiverged(
                 f"{trainee}training produced non-finite parameters at iteration {iteration}")
@@ -361,23 +363,23 @@ class _LoopState:
         self.curve.append(CurveRow(iteration, len(self.pool.labeled), self.budget.spent,
                                    self.rmse(), uncertainty, self.aleatoric()))
 
-    def fork(self, config: LoopConfig, oracle: PoolOracle) -> _LoopState:
-        """This pool-loop start for the cycles of config.strategy, acquiring
-        through `oracle`.  The oracle's pool is a copy of the start's pool or
-        the start's own, which the fork takes over with the curve; the start
-        is spent then.  The rest is never changed in place, so it is shared.
-        For qbc the committee is trained here, as part of iteration 0."""
+    def fork(self, strategy: str, oracle: PoolOracle) -> _LoopState:
+        """This start, with the strategy set to `strategy`, for its cycles through
+        `oracle`.  The oracle's pool is a copy of the start's pool or the
+        start's own, which the fork takes over with the curve; the start is
+        spent then.  The rest is never changed in place, so it is shared.  A
+        committee the strategy reads is trained here, as part of iteration 0."""
+        strategy_inputs(strategy)  # an unknown strategy is refused before any training
         if self.candidates is None:
             raise ValueError("the start is spent: a fork took over its pool")
-        if replace(config, strategy=self.config.strategy) != self.config:
-            raise ValueError("a fork's config may differ from its start's in the strategy only")
         fork = copy.copy(self)
-        fork.config, fork.pool, fork.budget = config, oracle.pool, oracle.budget
+        fork.config = replace(self.config, strategy=strategy)
+        fork.pool, fork.budget = oracle.pool, oracle.budget
         if oracle.pool is self.pool:
             self.candidates = None  # the fork alone holds them, and drops them as it cycles
         else:
             fork.curve = LearningCurve(self.curve.rows[:])
-        fork.fit_committee(0, config.initial_epochs)
+        fork.fit_committee(0, fork.config.initial_epochs)
         return fork
 
     def score_arrival(self, sample: Sample, index: int) -> float:
@@ -398,7 +400,7 @@ class _LoopState:
 
 class _NearestLabeled:
     """Each candidate's distance to its nearest labeled point, carried from
-    one acquisition cycle to the next (coreset and hybrid).
+    one acquisition cycle to the next for the strategies that read it.
 
     Between two cycles of the pool loop the labeled set only grows, and the
     candidate set only loses the ids just labeled and gains collected ones.
@@ -445,7 +447,7 @@ def run_pool_loop(
     the unlabeled pool empties, whichever comes first.  Bit-reproducible
     for a fixed config and master seed.  The one fork of the start takes
     over `pool`, so the acquisitions land in it."""
-    return run_pool_cycles(start_pool_loop(config, pool, oracle, rng_seed), config, oracle)
+    return run_pool_cycles(start_pool_loop(config, pool, oracle, rng_seed), config.strategy, oracle)
 
 
 def start_pool_loop(
@@ -468,11 +470,12 @@ def start_pool_loop(
     return start
 
 
-def run_pool_cycles(start: _LoopState, config: LoopConfig, oracle: PoolOracle) -> LearningCurve:
-    """Cycles 1.. of the pool loop on a fork of `start` (see _LoopState.fork)
-    for config.strategy, acquiring through `oracle`."""
-    state = start.fork(config, oracle)
-    nearest = _NearestLabeled(state.pool) if config.strategy in ("coreset", "hybrid") else None
+def run_pool_cycles(start: _LoopState, strategy: str, oracle: PoolOracle) -> LearningCurve:
+    """Cycles 1.. of the pool loop for `strategy` on a fork of `start` (see
+    _LoopState.fork), acquiring through `oracle`."""
+    state = start.fork(strategy, oracle)
+    config, reads = state.config, STRATEGY_INPUTS[strategy]
+    nearest = _NearestLabeled(state.pool) if "nearest_labeled" in reads else None
     for iteration in range(1, config.iterations + 1):
         ids, x, stds = state.candidates
         if not len(ids):
@@ -481,15 +484,14 @@ def run_pool_cycles(start: _LoopState, config: LoopConfig, oracle: PoolOracle) -
             candidate_ids=ids,
             candidate_features=x,
             epistemic_std=stds,
-            committee_var=state.committee.disagreement(x) if config.strategy == "qbc" else None,
+            committee_var=state.committee.disagreement(x) if "committee_var" in reads else None,
             nearest_labeled=nearest.update(ids, x) if nearest else None,
             select_seed=seeding.derive_seed(state.master_seed, iteration, seeding.STREAM_SELECT),
             hybrid_beta=config.hybrid_beta,
         )
         try:
             decision = decide_acquisition(
-                config.strategy, inputs, config.batch_size, oracle.budget,
-                config.collect_policy,
+                strategy, inputs, config.batch_size, oracle.budget, config.collect_policy
             )
         except BudgetExhausted:
             break

@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed settings
 
 
 @dataclass
@@ -102,14 +103,6 @@ class NetworkParams:
 
     def all_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.flat)))
-
-
-@dataclass
-class TrainHyper:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -248,17 +241,17 @@ def _backward_into(
 
 
 def adam_step(
-    params: NetworkParams, grads: NetworkParams, state: AdamState, hyper: TrainHyper
+    params: NetworkParams, grads: NetworkParams, state: AdamState, learning_rate: float
 ) -> None:
     """One bias-corrected Adam update of params and state, in place.
 
-    Every element sees the textbook expressions in their usual order:
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then
-    p - lr*m_hat / (sqrt(v_hat) + eps) with m_hat = m/(1-b1**t) and
-    v_hat = v/(1-b2**t)."""
+    Every element sees the textbook expressions in their usual order, with
+    b1, b2 and eps the ADAM_* constants: m = b1*m + (1-b1)*g, then
+    v = b2*v + ((1-b2)*g)*g, then p - learning_rate*m_hat / (sqrt(v_hat) + eps)
+    with m_hat = m/(1-b1**t) and v_hat = v/(1-b2**t)."""
     state.t += 1
     t = state.t
-    b1, b2 = hyper.beta1, hyper.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     g, m, v = grads.flat, state.m, state.v
     step, denom = state._scratch
     np.multiply(m, b1, out=m)
@@ -269,10 +262,10 @@ def adam_step(
     np.multiply(step, g, out=step)
     np.add(v, step, out=v)
     np.divide(m, 1.0 - b1**t, out=step)
-    np.multiply(step, hyper.learning_rate, out=step)
+    np.multiply(step, learning_rate, out=step)
     np.divide(v, 1.0 - b2**t, out=denom)
     np.sqrt(denom, out=denom)
-    np.add(denom, hyper.eps, out=denom)
+    np.add(denom, ADAM_EPS, out=denom)
     np.divide(step, denom, out=step)
     np.subtract(params.flat, step, out=params.flat)
 
@@ -284,7 +277,7 @@ def train(
     epochs: int,
     batch_size: int,
     rng_seed: int,
-    hyper: TrainHyper | None = None,
+    learning_rate: float = 1e-3,
 ) -> tuple[NetworkParams, float]:
     """Mini-batch Adam over shuffled data with a fresh dropout mask per example.
 
@@ -302,7 +295,6 @@ def train(
         raise ValueError("feature and target counts differ")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    hyper = hyper or TrainHyper()
     spec = params.spec
     params = params.copy()
     grads = NetworkParams.from_flat(spec, np.empty_like(params.flat))
@@ -331,7 +323,7 @@ def train(
         for rows, masks in zip(batches, batch_masks):
             idx = order[rows]
             _backward_into(grads, params, forward(params, x[idx], masks), y[idx])
-            adam_step(params, grads, state, hyper)
+            adam_step(params, grads, state, learning_rate)
     residuals = predict(params, x) - y
     return params, float(np.mean(residuals * residuals))
 

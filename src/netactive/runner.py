@@ -26,7 +26,7 @@ from .loop import (
     run_synthesis_loop,
     start_pool_loop,
 )
-from .neural import NetworkSpec, TrainHyper
+from .neural import NetworkSpec
 from .synth import (
     MODE_DRIVING,
     MODE_WALKING,
@@ -97,7 +97,7 @@ def make_loop_config(config: ExperimentConfig, strategy: str, n_features: int) -
     )
     return LoopConfig(
         spec=spec,
-        hyper=TrainHyper(learning_rate=config.learning_rate),
+        learning_rate=config.learning_rate,
         strategy=strategy,
         iterations=config.iterations,
         batch_size=config.batch_size,
@@ -173,10 +173,10 @@ def run_single(
 ) -> RunResult:
     """One (strategy, seed) run in the oracle's pool; a pool-loop run forks `start`."""
     pool = oracle.pool
-    loop_config = make_loop_config(config, strategy, pool.n_features)
     if config.loop == "pool":
-        curve = run_pool_cycles(start, loop_config, oracle)
-    elif config.loop == "stream":
+        return RunResult(strategy, master_seed, run_pool_cycles(start, strategy, oracle), pool)
+    loop_config = make_loop_config(config, strategy, pool.n_features)
+    if config.loop == "stream":
         arrivals = extract_stream_arrivals(
             pool, config.stream_arrivals,
             seeding.derive_seed(master_seed, seeding.STREAM_ARRIVALS),

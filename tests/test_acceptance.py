@@ -30,7 +30,6 @@ from netactive.loop import (
 from netactive.neural import (
     NetworkParams,
     NetworkSpec,
-    TrainHyper,
     backward,
     draw_dropout_masks,
     forward,
@@ -198,11 +197,10 @@ def test_criterion_3_core_set_equivalence():
 # -------------------------------------------------------------------------
 
 
-def benchmark_loop_config(strategy):
+def benchmark_loop_config():
     return LoopConfig(
         spec=NetworkSpec([N_FEATURES, 64, 64, 1], dropout_rate=0.2, activation="relu"),
-        hyper=TrainHyper(learning_rate=1e-3),
-        strategy=strategy,
+        learning_rate=1e-3,
         iterations=12,
         batch_size=16,
         mc_passes=50,
@@ -224,10 +222,10 @@ def benchmark_battery():
         split.normalizer = fit_normalizer(split)
         oracles = {strategy: PoolOracle(pool, Budget(total=500.0, annotation_cost=1.0))
                    for strategy, pool in (("uncertainty", split.copy()), ("random", split))}
-        start = start_pool_loop(benchmark_loop_config("random"), split, oracles["random"], seed)
+        start = start_pool_loop(benchmark_loop_config(), split, oracles["random"], seed)
         for strategy, oracle in oracles.items():
             pool, budget = oracle.pool, oracle.budget
-            curve = run_pool_cycles(start, benchmark_loop_config(strategy), oracle)
+            curve = run_pool_cycles(start, strategy, oracle)
             runs[(strategy, seed)] = {
                 "curve": curve,
                 "pool": pool,
@@ -335,7 +333,6 @@ def test_criterion_7_stream_loop():
         arrivals = extract_stream_arrivals(pool, 1000, rng_seed=seed + 1000)
         config = LoopConfig(
             spec=NetworkSpec([N_FEATURES, 64, 64, 1], dropout_rate=0.2),
-            hyper=TrainHyper(),
             mc_passes=25,
             initial_epochs=300,
             stream_retrain_every=10,
@@ -380,7 +377,6 @@ def test_criterion_8_synthesis_loop():
         pool.normalizer = fit_normalizer(pool)
         config = LoopConfig(
             spec=NetworkSpec([N_FEATURES, 64, 64, 1], dropout_rate=0.1),
-            hyper=TrainHyper(),
             iterations=10,
             batch_size=16,
             mc_passes=50,

@@ -13,7 +13,6 @@ from netactive.loop import LoopConfig, PoolOracle, _LoopState
 from netactive.neural import (
     NetworkParams,
     NetworkSpec,
-    TrainHyper,
     draw_dropout_masks,
     forward,
     init_params,
@@ -312,7 +311,7 @@ def qbc_state(warm_start=True, qbc_members=3):
     pool = split_pool(samples, test_fraction=0.2, seed_labeled_fraction=0.3, rng_seed=0)
     config = LoopConfig(
         spec=NetworkSpec([N_FEATURES, 4, 1], dropout_rate=0.2),
-        hyper=TrainHyper(learning_rate=3e-3), strategy="qbc", qbc_members=qbc_members,
+        learning_rate=3e-3, strategy="qbc", qbc_members=qbc_members,
         initial_epochs=4, train_batch_size=8, warm_start=warm_start,
     )
     return _LoopState(config, pool, PoolOracle(pool, Budget(total=10.0)), master_seed=5)
@@ -350,7 +349,7 @@ class TestCommittee:
             for k, member in enumerate(state.committee.members):
                 start = previous[k] if previous else init_params(config.spec, base + k)
                 expected, _ = train(start, x, y, epochs, config.train_batch_size,
-                                    rng_seed=base + k, hyper=config.hyper)
+                                    rng_seed=base + k, learning_rate=config.learning_rate)
                 assert np.array_equal(member.flat, expected.flat)
             previous = state.committee.members if warm_start else None
 

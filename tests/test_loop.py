@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from netactive.acquisition import Budget, CollectPolicy
+from netactive.acquisition import STRATEGIES, STRATEGY_INPUTS, Budget, CollectPolicy
 from netactive.dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, fit_normalizer, split_pool
 from netactive.loop import (
     CurveRow,
@@ -21,8 +21,28 @@ from netactive.loop import (
     run_synthesis_loop,
     start_pool_loop,
 )
-from netactive.neural import NetworkParams, NetworkSpec, TrainHyper
+from netactive.neural import NetworkParams, NetworkSpec
 from netactive.synth import N_FEATURES, TwinWorld, generate_synthetic_dataset
+
+
+def reading(name):
+    """The strategies whose STRATEGY_INPUTS entry names `name`."""
+    return [s for s in STRATEGIES if name in STRATEGY_INPUTS[s]]
+
+
+def record_training(monkeypatch):
+    """The epochs of every `train` call the loops make, in call order."""
+    from netactive import loop
+
+    epochs = []
+    real = loop.train
+
+    def recorded(*args, **kwargs):
+        epochs.append(kwargs["epochs"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(loop, "train", recorded)
+    return epochs
 
 
 def small_world():
@@ -46,7 +66,7 @@ def pool_columns(pool):
 def small_config(**overrides):
     defaults = dict(
         spec=NetworkSpec([N_FEATURES, 16, 1], dropout_rate=0.2),
-        hyper=TrainHyper(learning_rate=3e-3),
+        learning_rate=3e-3,
         strategy="uncertainty",
         iterations=3,
         batch_size=4,
@@ -406,10 +426,11 @@ class TestPoolStartFork:
     """One iteration 0 per master seed: each strategy's cycles run on a fork
     of the start, and no fork shares a mutable thing with another."""
 
-    def _start(self, world, strategy="uncertainty"):
+    def _start(self, world):
+        """A start whose forks are named by strategy; iteration 0 reads none."""
         pool = small_pool(world=world)
         oracle = TwinOracle(pool, Budget(total=1000.0), world, rng_seed=9)
-        return start_pool_loop(self._config(strategy), pool, oracle, rng_seed=0)
+        return start_pool_loop(self._config("uncertainty"), pool, oracle, rng_seed=0)
 
     @staticmethod
     def _config(strategy):
@@ -425,7 +446,7 @@ class TestPoolStartFork:
                    for s in ("qbc", "coreset")}
         before = {name: pool_columns(pool) for name, pool in pools.items()}
 
-        qbc = run_pool_cycles(start, self._config("qbc"), oracles["qbc"])
+        qbc = run_pool_cycles(start, "qbc", oracles["qbc"])
         assert len(pools["qbc"].labeled) > len(pools["start"].labeled)
         for name in ("start", "coreset"):
             for column, values in pool_columns(pools[name]).items():
@@ -433,7 +454,7 @@ class TestPoolStartFork:
         assert start.curve.rows == [row0] and oracles["coreset"].budget.spent == 0.0
         qbc_columns, qbc_spent = pool_columns(pools["qbc"]), oracles["qbc"].budget.spent
 
-        coreset = run_pool_cycles(start, self._config("coreset"), oracles["coreset"])
+        coreset = run_pool_cycles(start, "coreset", oracles["coreset"])
         assert len(pools["coreset"].labeled) > len(pools["start"].labeled)
         for column, values in pool_columns(pools["qbc"]).items():
             np.testing.assert_array_equal(values, qbc_columns[column])
@@ -444,10 +465,10 @@ class TestPoolStartFork:
     @pytest.mark.parametrize("strategy", ["qbc", "coreset"])
     def test_fork_equals_a_lone_run(self, strategy):
         world = small_world()
-        start = self._start(world, strategy="random")
-        run_pool_cycles(start, self._config("random"),
+        start = self._start(world)
+        run_pool_cycles(start, "random",
                         TwinOracle(start.pool.copy(), Budget(total=1000.0), world, rng_seed=9))
-        forked = run_pool_cycles(start, self._config(strategy),
+        forked = run_pool_cycles(start, strategy,
                                  TwinOracle(start.pool, Budget(total=1000.0), world, rng_seed=9))
         pool = small_pool(world=world)
         alone = run_pool_loop(self._config(strategy), pool,
@@ -467,22 +488,29 @@ class TestPoolStartFork:
         assert len(pool.unlabeled) == unlabeled - 3 * 4 + 3 * 2
         assert oracle.budget.spent == curve.rows[-1].budget_spent > 0.0
 
+    def test_unknown_strategy_refused_before_training(self, monkeypatch):
+        from netactive import loop
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the strategy was checked")
+
+        world = small_world()
+        start = self._start(world)
+        monkeypatch.setattr(loop, "train", no_training)
+        oracle = TwinOracle(start.pool, Budget(total=1000.0), world, rng_seed=9)
+        with pytest.raises(ValueError, match="unknown strategy 'bald'; expected one of"):
+            run_pool_cycles(start, "bald", oracle)
+        assert start.candidates is not None and oracle.budget.spent == 0.0  # not spent
+
     def test_owning_fork_spends_the_start(self):
         world = small_world()
         start = self._start(world)
-        run_pool_cycles(start, self._config("random"),
+        run_pool_cycles(start, "random",
                         TwinOracle(start.pool, Budget(total=1000.0), world, rng_seed=9))
         oracle = TwinOracle(start.pool.copy(), Budget(total=1000.0), world, rng_seed=9)
         with pytest.raises(ValueError, match="the start is spent"):
-            run_pool_cycles(start, self._config("uncertainty"), oracle)
+            run_pool_cycles(start, "uncertainty", oracle)
 
-    def test_fork_config_differs_in_strategy_only(self):
-        world = small_world()
-        start = self._start(world)
-        oracle = TwinOracle(start.pool, Budget(total=1000.0), world, rng_seed=9)
-        with pytest.raises(ValueError, match="in the strategy only"):
-            run_pool_cycles(start, dataclasses.replace(self._config("random"), batch_size=2),
-                            oracle)
 
 
 class TestOracleBinding:
@@ -563,7 +591,7 @@ def capture_decisions(monkeypatch, pool):
 
 class TestNearestLabeledCache:
     @pytest.mark.parametrize("warm_start", [True, False])
-    @pytest.mark.parametrize("strategy", ["coreset", "hybrid"])
+    @pytest.mark.parametrize("strategy", reading("nearest_labeled"))
     def test_carried_distances_equal_from_scratch(self, monkeypatch, strategy, warm_start):
         from netactive.acquisition import _min_distances
 
@@ -583,7 +611,8 @@ class TestNearestLabeledCache:
         # collected samples joined the candidates after the first cycle
         assert seen[-1][0].candidate_ids.max() > seen[0][0].candidate_ids.max()
 
-    @pytest.mark.parametrize("strategy", ["uncertainty", "random", "qbc"])
+    @pytest.mark.parametrize(
+        "strategy", [s for s in STRATEGIES if s not in reading("nearest_labeled")])
     def test_other_strategies_measure_no_distances(self, monkeypatch, strategy):
         from netactive import acquisition, loop
 
@@ -603,6 +632,32 @@ class TestNearestLabeledCache:
         run_pool_loop(config, pool, oracle, rng_seed=0)
         assert len(seen) == 3
         assert all(inputs.nearest_labeled is None for inputs, _ in seen)
+
+
+class TestStrategyInputs:
+    """The pool loop computes what a strategy's STRATEGY_INPUTS entry names,
+    and nothing else it could skip."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_loop_hands_each_strategy_its_inputs(self, monkeypatch, strategy):
+        world = small_world()
+        pool = small_pool(world=world)
+        oracle = TwinOracle(pool, Budget(total=1000.0), world, rng_seed=9)
+        seen = capture_decisions(monkeypatch, pool)
+        trained = record_training(monkeypatch)
+        config = small_config(strategy=strategy, iterations=3, qbc_members=2)
+        run_pool_loop(config, pool, oracle, rng_seed=0)
+        reads = STRATEGY_INPUTS[strategy]
+        assert len(seen) == 3
+        for inputs, _ in seen:
+            assert inputs.epistemic_std is not None  # the curve reads it for every strategy
+            assert (inputs.committee_var is not None) == ("committee_var" in reads)
+            assert (inputs.nearest_labeled is not None) == ("nearest_labeled" in reads)
+        # the model trains at iteration 0 and after each of the 3 acquisitions;
+        # a committee of 2 trains beside it only for a strategy that reads it
+        members = 2 if "committee_var" in reads else 0
+        assert len(trained) == 4 * (1 + members)
+        assert (strategy == "qbc") == (members > 0)
 
 
 class TestStreamLoop:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from netactive.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     NetworkParams,
     NetworkSpec,
-    TrainHyper,
     adam_step,
     backward,
     draw_dropout_masks,
@@ -259,7 +261,7 @@ class TestAdam:
             biases=[np.zeros_like(b) for b in params.biases],
         )
         state = AdamState.zeros_like(params)
-        adam_step(params, grads, state, TrainHyper())
+        adam_step(params, grads, state, 1e-3)
         for w0, w1 in zip(before.weights, params.weights):
             np.testing.assert_array_equal(w0, w1)
         assert state.t == 1
@@ -270,8 +272,7 @@ class TestAdam:
         grads = NetworkParams(
             spec=params.spec, weights=[np.array([[1.0]])], biases=[np.array([0.0])]
         )
-        hyper = TrainHyper(learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-        adam_step(params, grads, AdamState.zeros_like(params), hyper)
+        adam_step(params, grads, AdamState.zeros_like(params), 0.01)
         expected_delta = -0.01 * 1.0 / (1.0 + 1e-8)
         np.testing.assert_allclose(params.weights[0][0, 0] - 0.5, expected_delta, rtol=1e-12)
 
@@ -280,14 +281,14 @@ class TestAdam:
         grads = init_params(NetworkSpec([2, 3, 1]), 4)
         out1, out2 = params.copy(), params.copy()
         st1, st2 = AdamState.zeros_like(params), AdamState.zeros_like(params)
-        adam_step(out1, grads, st1, TrainHyper())
-        adam_step(out2, grads, st2, TrainHyper())
+        adam_step(out1, grads, st1, 1e-3)
+        adam_step(out2, grads, st2, 1e-3)
         for a, b in zip(out1.weights, out2.weights):
             np.testing.assert_array_equal(a, b)
         assert st1.t == st2.t
 
 
-def reference_train(params, x, y, epochs, batch_size, rng_seed, hyper):
+def reference_train(params, x, y, epochs, batch_size, rng_seed, lr):
     """train() spelled out on per-layer arrays: one draw_dropout_masks call
     per batch, forward/backward, and the closed-form Adam update."""
     spec = params.spec
@@ -295,7 +296,7 @@ def reference_train(params, x, y, epochs, batch_size, rng_seed, hyper):
     arrays = [a.copy() for a in params.weights + params.biases]
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
-    b1, b2, lr, eps = hyper.beta1, hyper.beta2, hyper.learning_rate, hyper.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     rng = np.random.default_rng(rng_seed)
     t = 0
     for _ in range(epochs):
@@ -326,7 +327,7 @@ class TestTrain:
         spec = NetworkSpec([1, 16, 1], dropout_rate=0.0, activation="relu")
         params = init_params(spec, 0)
         trained, mse = train(params, x, y, epochs=200, batch_size=8, rng_seed=1,
-                             hyper=TrainHyper(learning_rate=0.01))
+                             learning_rate=0.01)
         assert mse < 1e-3
 
     def test_zero_epochs_unchanged(self):
@@ -364,7 +365,7 @@ class TestTrain:
         params = init_params(spec, 5)
         for step in range(30):
             params, _ = train(params, x, y, epochs=1, batch_size=8, rng_seed=step,
-                              hyper=TrainHyper(learning_rate=0.01))
+                              learning_rate=0.01)
             assert params.all_finite(), f"non-finite parameters after step {step}"
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -376,13 +377,13 @@ class TestTrain:
         x = rng.normal(size=(37, 3))
         y = rng.normal(size=37)
         spec = NetworkSpec([3, 8, 6, 1], dropout_rate=dropout, activation=activation)
-        hyper = TrainHyper(learning_rate=0.01)
+        lr = 0.01
         params = init_params(spec, 4)
         for batch_size, seed in ((8, 1), (16, 2)):
             got, got_mse = train(params, x, y, epochs=4, batch_size=batch_size,
-                                 rng_seed=seed, hyper=hyper)
+                                 rng_seed=seed, learning_rate=lr)
             want, want_mse = reference_train(params, x, y, epochs=4, batch_size=batch_size,
-                                             rng_seed=seed, hyper=hyper)
+                                             rng_seed=seed, lr=lr)
             for a, b in zip(got.weights + got.biases, want.weights + want.biases):
                 np.testing.assert_array_equal(a, b)
             assert got_mse == want_mse

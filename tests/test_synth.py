@@ -6,7 +6,7 @@ import pytest
 
 from netactive import synth
 from netactive.dataset import load_csv, split_pool
-from netactive.neural import NetworkSpec, TrainHyper, init_params, predict, train
+from netactive.neural import NetworkSpec, init_params, predict, train
 from netactive.synth import (
     MODE_DRIVING,
     MODE_MAPPING,
@@ -215,7 +215,7 @@ class TestGenerateSyntheticDataset:
         spec = NetworkSpec([N_FEATURES, 64, 64, 1], dropout_rate=0.2)
         params = init_params(spec, 0)
         params, _ = train(params, x, y, epochs=60, batch_size=64, rng_seed=0,
-                          hyper=TrainHyper(learning_rate=1e-3))
+                          learning_rate=1e-3)
         test_ids = sorted(pool.test)
         x_test = pool.normalized_features(test_ids)
         y_test = pool.labels_of(test_ids)
