@@ -303,18 +303,19 @@ class _LoopState:
         return predict(self.params, x) * self.label_std + self.label_mean
 
     def fit(self, iteration: int, epochs: int) -> None:
-        """Train the model, and the committee if the strategy reads one."""
+        """Train the model, and the committee if the strategy reads one.  A cold
+        restart trains both from fresh initializations for initial_epochs."""
+        if not self.config.warm_start and iteration > 0:
+            epochs = self.config.initial_epochs
         self.fit_model(iteration, epochs)
         self.fit_committee(iteration, epochs)
 
     def fit_model(self, iteration: int, epochs: int) -> None:
-        """Train the model: a warm start continues from the current parameters, a
-        cold restart starts over from the fresh initialization and full schedule."""
+        """Train the model further, or afresh from self.init on a cold restart."""
         x, y = self.training_data()
-        cold = not self.config.warm_start and iteration > 0
         seed = seeding.derive_seed(self.master_seed, iteration, seeding.STREAM_TRAIN)
-        self.params = self._trained(self.init if cold else self.params, x, y,
-                                    self.config.initial_epochs if cold else epochs, seed, iteration)
+        start = self.init if not self.config.warm_start and iteration > 0 else self.params
+        self.params = self._trained(start, x, y, epochs, seed, iteration)
 
     def fit_committee(self, iteration: int, epochs: int) -> None:
         """Train the committee if the strategy reads committee_var: fresh members

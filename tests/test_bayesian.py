@@ -335,7 +335,7 @@ class TestCommittee:
     def test_members_match_reference_training(self, warm_start):
         # member k trains with seed base + k from the member it replaces on a
         # warm start, and from init_params(spec, base + k) on the first fit
-        # and on every cold restart
+        # and on every cold restart, which trains for initial_epochs
         state = qbc_state(warm_start=warm_start)
         config, oracle = state.config, PoolOracle(state.pool, state.budget)
         previous = None
@@ -348,7 +348,9 @@ class TestCommittee:
             base = seeding.derive_seed(5, iteration, seeding.STREAM_QBC)
             for k, member in enumerate(state.committee.members):
                 start = previous[k] if previous else init_params(config.spec, base + k)
-                expected, _ = train(start, x, y, epochs, config.train_batch_size,
+                cold = iteration and not warm_start
+                expected, _ = train(start, x, y, config.initial_epochs if cold else epochs,
+                                    config.train_batch_size,
                                     rng_seed=base + k, learning_rate=config.learning_rate)
                 assert np.array_equal(member.flat, expected.flat)
             previous = state.committee.members if warm_start else None

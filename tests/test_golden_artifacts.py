@@ -88,13 +88,14 @@ GOLDEN = {
         "summary.csv": "d8a66c649a12fc348fd1224809268954de4c351ae1d0ee5d399aa89a5bb724a3",
     },
     # qbc with cold restarts: the model and every member retrain from fresh
-    # initializations after each acquisition.
+    # initializations after each acquisition, each for the full initial_epochs
+    # schedule (the members once got only fine_tune_epochs; see CHANGES.md).
     "synthetic_benchmark_qbc_cold": {
         "annotations_qbc_seed0.csv":
-            "56ea7b6689bf959e65df5a12f3d7e209424756e2fa46b640e619aa28c566d525",
+            "d9f5c2c0880b1b3d9db7cd2e8e2368b18c0a07f1189e18ee0a72dcd63fdcd893",
         "curve_qbc_seed0.csv":
-            "5dc3ccf901d46b3d2c5570fbe09e9a1a3cd9a035d3f001447985406aba1f92ac",
-        "summary.csv": "e88a4fe0ea3a5361fa29466d6eb2df1c27f2e5a91e9cf229e4e129f0219ab96d",
+            "bb2ce32a9b4a998adc2f21d00d6f2dafd71c6201fde72c91bdbdab8e352cf53e",
+        "summary.csv": "76c8ce8d3ed4a4d7cd3cd278e4b0b45bb213a3c95e7d47c3777c31b40a7c4e5d",
     },
     # The synthesis loop fed from a CSV: no twin world, so a plain pool
     # oracle snaps each proposal to its nearest unlabeled sample.

@@ -411,6 +411,17 @@ class TestPoolLoop:
                                   pool, oracle, rng_seed=0)
             assert curve.rows[-1].labeled_count > curve.rows[0].labeled_count
 
+    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+    def test_qbc_retrains_model_and_members_on_one_schedule(self, monkeypatch, warm_start):
+        trained = record_training(monkeypatch)
+        pool = small_pool()
+        config = small_config(strategy="qbc", iterations=2, qbc_members=2,
+                              warm_start=warm_start, initial_epochs=10, fine_tune_epochs=4)
+        run_pool_loop(config, pool, PoolOracle(pool, Budget(total=1000.0)), rng_seed=0)
+        # iteration 0 trains the model and both fresh members for initial_epochs;
+        # after each acquisition a cold restart runs that schedule again
+        assert trained == [10] * 3 + [4 if warm_start else 10] * 3 * 2
+
     def test_cold_restart_mode(self):
         curves = []
         for _ in range(2):
