@@ -89,7 +89,7 @@ GOLDEN = {
     },
     # qbc with cold restarts: the model and every member retrain from fresh
     # initializations after each acquisition, each for the full initial_epochs
-    # schedule (the members once got only fine_tune_epochs; see CHANGES.md).
+    # schedule.
     "synthetic_benchmark_qbc_cold": {
         "annotations_qbc_seed0.csv":
             "d9f5c2c0880b1b3d9db7cd2e8e2368b18c0a07f1189e18ee0a72dcd63fdcd893",

@@ -523,7 +523,6 @@ class TestPoolStartFork:
             run_pool_cycles(start, "uncertainty", oracle)
 
 
-
 class TestOracleBinding:
     """Every loop refuses an oracle that writes to another pool than its own,
     before it trains anything."""
