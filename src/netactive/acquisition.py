@@ -124,10 +124,10 @@ class AcquisitionInputs:
     nearest_labeled[i] is candidate i's Euclidean distance to its nearest
     labeled point, as _min_distances gives it (inf for every candidate when
     there is no labeled point).  decide_acquisition never measures distances
-    to the labeled set itself: the caller owns that vector.  run_pool_loop
-    carries it from one cycle to the next for the strategies that read it,
-    and updates only the rows and references that changed; select_core_set
-    computes it from scratch.
+    to the labeled set itself: the caller owns that vector.  run_pool_cycles
+    carries it from one cycle to the next for the strategies that read it
+    (loop._NearestLabeled), and updates only the rows and references that
+    changed; select_core_set computes it from scratch.
     """
 
     candidate_ids: np.ndarray  # (n,) ints, ascending
@@ -220,8 +220,7 @@ def _greedy_k_center(
     for _ in range(k):
         pick = int(np.argmax(min_d))  # argmax takes the first (lowest-id) maximum
         chosen.append(int(candidate_ids[pick]))
-        d_new = np.sqrt(((points - points[pick]) ** 2).sum(axis=1))
-        min_d = np.minimum(min_d, d_new)
+        min_d = np.minimum(min_d, _min_distances(points, points[pick : pick + 1]))
         min_d[pick] = -np.inf
     return chosen
 
@@ -307,7 +306,7 @@ def decide_acquisition(
         if collect_count > 0:
             batch_points = inputs.candidate_features[np.searchsorted(ids, chosen)]
             centroid = batch_points.mean(axis=0)
-            radius = float(np.sqrt(((batch_points - centroid) ** 2).sum(axis=1)).max())
+            radius = float(_min_distances(batch_points, centroid[np.newaxis]).max())
             region = CollectRegion(centroid=centroid, radius=radius)
 
     return AcquisitionDecision(

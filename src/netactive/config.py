@@ -84,6 +84,9 @@ class ExperimentConfig:
     def seed_list(self) -> list[int]:
         return [int(s.strip()) for s in self.seeds.split(",") if s.strip()]
 
+    def feature_column_list(self) -> list[str]:
+        return [c.strip() for c in self.feature_columns.split(",") if c.strip()]
+
     def hidden_size_list(self) -> list[int]:
         return [int(s.strip()) for s in self.hidden_sizes.split(",") if s.strip()]
 
@@ -197,7 +200,10 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"{source}: key 'seeds': master seeds must be non-negative, "
                           f"got {min(seeds)}")
-    for key, items in (("strategies", config.strategy_list()), ("seeds", seeds)):
+    if not config.feature_column_list():
+        raise ConfigError(f"{source}: key 'feature_columns' must be auto or name a column")
+    for key, items in (("strategies", config.strategy_list()), ("seeds", seeds),
+                       ("feature_columns", config.feature_column_list())):
         repeated = [item for k, item in enumerate(items) if item in items[:k]]
         if repeated:
             raise ConfigError(f"{source}: {key} names {repeated[0]!r} more than once")
@@ -207,15 +213,15 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
         raise ConfigError(f"{source}: hidden_sizes must be comma-separated integers") from None
     if any(s < 1 for s in sizes):
         raise ConfigError(f"{source}: hidden sizes must be positive")
-    # MC-dropout std is exactly 0 without a dropped hidden unit, and a
-    # ranking by it would fall back to ascending sample ids.
+    # MC-dropout std is exactly 0 without a dropped hidden unit or a second
+    # pass, and a ranking by it would fall back to ascending sample ids.
     ranked_by_std = [s for s in config.strategy_list() if "epistemic_std" in STRATEGY_INPUTS[s]]
-    if ranked_by_std and not sizes:
-        raise ConfigError(f"{source}: key 'hidden_sizes': {ranked_by_std[0]} ranks candidates "
-                          "by MC-dropout std, which needs at least one hidden layer")
-    if ranked_by_std and config.dropout_rate == 0.0:
-        raise ConfigError(f"{source}: key 'dropout_rate': {ranked_by_std[0]} ranks candidates "
-                          "by MC-dropout std, which needs dropout_rate > 0")
+    for key, ok, needs in (("hidden_sizes", sizes, "at least one hidden layer"),
+                           ("dropout_rate", config.dropout_rate > 0.0, "dropout_rate > 0"),
+                           ("mc_passes", config.mc_passes >= 2, "mc_passes >= 2")):
+        if ranked_by_std and not ok:
+            raise ConfigError(f"{source}: key {key!r}: {ranked_by_std[0]} ranks candidates "
+                              f"by MC-dropout std, which needs {needs}")
     if config.data_source == "csv":
         if not config.csv_path:
             raise ConfigError(f"{source}: data_source=csv requires csv_path")

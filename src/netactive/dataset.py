@@ -195,13 +195,9 @@ class DataPool:
 
     @property
     def next_id(self) -> int:
-        """The id allocate_id hands out next, above every id the pool has held."""
+        """The lowest id above every id the pool has held: the id a new sample
+        takes.  Only registering a sample moves it."""
         return self._next_id
-
-    def allocate_id(self) -> int:
-        sid = self._next_id
-        self._next_id += 1
-        return sid
 
     def reveal(self, sample_id: int, iteration: int) -> float:
         """Move an unlabeled sample into the labeled partition in one step: its
@@ -291,7 +287,8 @@ def load_csv(
             every non-target column whose non-empty cells all parse as
             finite numbers (after categorical mapping).
         categorical_maps: per-column value->number mappings, e.g.
-            {"mobility_mode": {"walking": 0, "driving": 1}}.
+            {"mobility_mode": {"walking": 0, "driving": 1}}; each column
+            must be in the header.
 
     Rows with missing (empty) values in any selected column are dropped and
     counted.  A non-numeric cell in an explicitly requested column, or in
@@ -309,6 +306,9 @@ def load_csv(
     if target_column not in header:
         raise ValueError(f"{path}: target column {target_column!r} not in header")
     col_index = {name: i for i, name in enumerate(header)}
+    unmapped = [name for name in categorical_maps if name not in col_index]
+    if unmapped:
+        raise ValueError(f"{path}: categorical column {unmapped[0]!r} not in header")
 
     # Each needed cell is parsed once, column by column: a float, None for an
     # unparseable cell, or "" for an empty or missing one.

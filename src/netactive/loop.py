@@ -240,7 +240,7 @@ class TwinOracle(PoolOracle):
         raw = realize_scenario(self.world, np.asarray(features, dtype=float), rng)
         label = twin_label(self.world, raw, int(rng.integers(0, 2**31)))
         self.budget.charge(self.budget.annotation_cost + self.budget.collection_cost)
-        sample = Sample(id=self.pool.allocate_id(), features=raw, label=label,
+        sample = Sample(id=self.pool.next_id, features=raw, label=label,
                         origin=ORIGIN_SYNTHESIZED, iteration_acquired=iteration)
         self.pool.add_labeled(sample)
         return sample
@@ -656,9 +656,8 @@ def run_synthesis_loop(
                 oracle.synthesize(proposals[idx], iteration)
             else:
                 ids = pool.unlabeled
-                diff = pool.normalized_features(ids) - proposals_norm[idx]
-                sid = int(ids[np.argmin(np.sqrt((diff**2).sum(axis=1)))])  # nearest unlabeled
-                oracle.annotate(sid, iteration)
+                dists = _min_distances(pool.normalized_features(ids), proposals_norm[idx : idx + 1])
+                oracle.annotate(int(ids[np.argmin(dists)]), iteration)  # the nearest unlabeled
         state.fit(iteration, config.fine_tune_epochs)
         state.record(iteration, probe_std(iteration))
     return state.curve

@@ -77,10 +77,9 @@ def load_corpus(config: ExperimentConfig) -> tuple[list[Sample], TwinWorld | Non
         maps = None
         if config.categorical_column:
             maps = {config.categorical_column: load_categorical_map(config.categorical_map_path)}
-        columns: str | list[str] = "auto"
-        if config.feature_columns != "auto":
-            columns = [c.strip() for c in config.feature_columns.split(",") if c.strip()]
-        result = load_csv(config.csv_path, config.target_column, columns, maps)
+        columns = config.feature_column_list()
+        result = load_csv(config.csv_path, config.target_column,
+                          "auto" if columns == ["auto"] else columns, maps)
         if result.rejected_rows:
             print(f"note: dropped {result.rejected_rows} rows with missing values")
         return result.samples, None

@@ -169,15 +169,29 @@ class TestValidateConfig:
         ("uncertainty", "pool"), ("random,hybrid", "pool"),
         ("uncertainty", "stream"), ("uncertainty", "synthesis"),
     ])
-    @pytest.mark.parametrize("key, value", [("hidden_sizes", ""), ("dropout_rate", 0.0)])
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_sizes", ""), ("dropout_rate", 0.0), ("mc_passes", 1),
+    ])
     def test_std_ranking_needs_dropout(self, strategies, loop, key, value):
         config = ExperimentConfig(strategies=strategies, loop=loop, **{key: value})
         with pytest.raises(ConfigError, match=f"<config>: key '{key}': .*MC-dropout std"):
             validate_config(config)
 
-    @pytest.mark.parametrize("key, value", [("hidden_sizes", ""), ("dropout_rate", 0.0)])
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_sizes", ""), ("dropout_rate", 0.0), ("mc_passes", 1),
+    ])
     def test_other_strategies_run_without_dropout(self, key, value):
         validate_config(ExperimentConfig(strategies="random,qbc,coreset", **{key: value}))
+
+    @pytest.mark.parametrize("columns", ["", ",", " , "])
+    def test_empty_feature_columns_rejected(self, columns):
+        with pytest.raises(ConfigError, match="<config>: key 'feature_columns' must be auto"):
+            validate_config(ExperimentConfig(feature_columns=columns))
+
+    @pytest.mark.parametrize("columns", ["pos_x,pos_x", "a,b, a", "auto,auto"])
+    def test_repeated_feature_column_rejected(self, columns):
+        with pytest.raises(ConfigError, match="<config>: feature_columns names '.*' more than"):
+            validate_config(ExperimentConfig(feature_columns=columns))
 
     @pytest.mark.parametrize("name", [
         "synthetic_benchmark.cfg", "synthetic_stream.cfg", "synthetic_synthesis.cfg",

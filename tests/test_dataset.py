@@ -88,6 +88,12 @@ class TestLoadCsv:
         assert result.feature_names == ["a", "mode"]
         np.testing.assert_array_equal(result.samples[1].features, [2.0, 1.0])
 
+    def test_categorical_map_for_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("a,mode,tput\n1,walking,10\n2,driving,20\n")
+        with pytest.raises(ValueError, match=r"toy\.csv: categorical column 'nosuch' not in"):
+            load_csv(str(path), "tput", categorical_maps={"nosuch": {"walking": 0}})
+
     def test_explicit_feature_columns_preserve_order(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("a,b,c,tput\n1,2,3,10\n4,5,6,20\n")
@@ -230,15 +236,15 @@ class TestDataPool:
     @pytest.mark.parametrize("method", ["add_unlabeled", "add_labeled"])
     def test_non_finite_features_rejected_on_add(self, method):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
-        sid = pool.allocate_id()
+        sid = pool.next_id
         with pytest.raises(ValueError, match=f"sample {sid}: non-finite"):
             getattr(pool, method)(Sample(sid, [0.0, np.inf, 1.0], label=1.0))
-        assert sid not in pool.samples
+        assert sid not in pool.samples and pool.next_id == sid  # a failed add takes no id
 
     def test_wrong_feature_length_rejected_on_add(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         with pytest.raises(ValueError, match="inconsistent feature lengths"):
-            pool.add_unlabeled(Sample(pool.allocate_id(), [0.0, 1.0], label=1.0))
+            pool.add_unlabeled(Sample(pool.next_id, [0.0, 1.0], label=1.0))
 
     def test_samples_view_builds_records_on_access(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
@@ -256,7 +262,7 @@ class TestDataPool:
         grown = 0
         for _ in range(3000):
             before = pool._features
-            pool.add_unlabeled(Sample(pool.allocate_id(), np.zeros(3), label=1.0))
+            pool.add_unlabeled(Sample(pool.next_id, np.zeros(3), label=1.0))
             grown += pool._features is not before
         # 1/8 steps from 8 to 3008 rows: ~50 reallocations, not 3000,
         # and at most 1/8 of the capacity left over
@@ -265,7 +271,7 @@ class TestDataPool:
 
     def test_next_id_stays_above_extracted_ids(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
-        top = pool.allocate_id() + 5
+        top = pool.next_id + 5
         pool.add_unlabeled(Sample(top, np.zeros(3), label=2.0))
         arrivals = extract_stream_arrivals(pool, 3, rng_seed=1)
         assert top not in pool.samples and not len(pool.unlabeled)
@@ -291,7 +297,7 @@ class TestDataPool:
         twin = pool.copy()
         columns = {name: np.copy(v) for name, v in vars(pool).items() if isinstance(v, np.ndarray)}
         twin.reveal(int(twin.unlabeled[0]), iteration=1)
-        twin.add_unlabeled(Sample(twin.allocate_id(), np.zeros(3), label=1.0))
+        twin.add_unlabeled(Sample(twin.next_id, np.zeros(3), label=1.0))
         for name, values in columns.items():
             np.testing.assert_array_equal(getattr(pool, name), values)
         assert pool.next_id == 20 and twin.next_id == 21
@@ -306,7 +312,7 @@ class TestDataPool:
 
     def test_add_unlabeled_hides_label(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
-        sid = pool.allocate_id()
+        sid = pool.next_id
         pool.add_unlabeled(Sample(id=sid, features=np.zeros(3), label=5.0))
         assert pool.samples[sid].label is None
         assert pool.reveal(sid, iteration=1) == 5.0
@@ -361,7 +367,7 @@ class TestPoolAgainstReference:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["unlabeled", "labeled", "allocate", "annotate", "extract"]),
+                st.sampled_from(["unlabeled", "labeled", "annotate", "extract"]),
                 st.integers(min_value=0, max_value=2**31),
             ),
             max_size=20,
@@ -396,9 +402,6 @@ class TestPoolAgainstReference:
                 ref.add(sample, getattr(ref, op))
                 with pytest.raises(ValueError, match="already present"):
                     pool.add_unlabeled(sample)
-            elif op == "allocate":
-                assert pool.allocate_id() == ref.next_id
-                ref.next_id += 1
             elif op == "annotate":
                 hidden = sorted(sid for sid, label in ref.hidden.items() if label is not None)
                 if not hidden:

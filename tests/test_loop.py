@@ -626,8 +626,13 @@ class TestNearestLabeledCache:
     def test_other_strategies_measure_no_distances(self, monkeypatch, strategy):
         from netactive import acquisition, loop
 
-        def forbidden(*args):
-            raise AssertionError("distance kernel called")
+        kernel = acquisition._min_distances
+
+        def forbidden(points, references):
+            # only the collect radius may measure: the chosen batch against its centroid
+            if len(references) != 1 or not np.array_equal(references[0], points.mean(axis=0)):
+                raise AssertionError("distance kernel called")
+            return kernel(points, references)
 
         monkeypatch.setattr(loop, "_min_distances", forbidden)
         monkeypatch.setattr(acquisition, "_min_distances", forbidden)

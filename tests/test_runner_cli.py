@@ -427,6 +427,40 @@ class TestCli:
         assert f"config error: {cfg}: key 'dropout_rate': " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_pass_uncertainty_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, mc_passes=1, output_dir=str(out))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key 'mc_passes': " in capsys.readouterr().err
+        assert not out.exists()
+
+    def _synth_csv(self, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--config", self._write_config(tmp_path), "--n", "40",
+                     "--out", str(data)]) == 0
+        return str(data)
+
+    @pytest.mark.parametrize("columns", [",", "pos_x,pos_x"])
+    def test_bad_feature_columns_exit_code(self, tmp_path, capsys, columns):
+        data, out = self._synth_csv(tmp_path), tmp_path / "out"
+        cfg = self._write_config(tmp_path, data_source="csv", csv_path=data,
+                                 feature_columns=columns, output_dir=str(out))
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ") and "feature_columns" in err
+        assert not out.exists()
+
+    def test_categorical_map_for_missing_column_exit_code(self, tmp_path, capsys):
+        data, modes = self._synth_csv(tmp_path), tmp_path / "modes.map"
+        modes.write_text("walking=0\ndriving=1\n")
+        cfg = self._write_config(tmp_path, data_source="csv", csv_path=data, seeds="0",
+                                 categorical_column="nosuch", categorical_map_path=str(modes),
+                                 output_dir=str(tmp_path / "out"))
+        capsys.readouterr()
+        assert main(["run", "--config", cfg]) == 2
+        assert f"error: {data}: categorical column 'nosuch' not in header" in (
+            capsys.readouterr().err)
+
     def test_charge_past_the_tolerance_is_never_planned(self, tmp_path):
         # the old floor rule planned one annotation here that charge refused,
         # and the run exited 2 without a summary
