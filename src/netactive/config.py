@@ -237,6 +237,10 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
         )
     if config.categorical_column and not config.categorical_map_path:
         raise ConfigError(f"{source}: categorical_column requires categorical_map_path")
+    for key in ("target_column", "feature_columns", "categorical_column", "categorical_map_path"):
+        if config.data_source != "csv" and getattr(config, key) != getattr(ExperimentConfig, key):
+            raise ConfigError(f"{source}: key {key!r}: only csv data reads it; "
+                              "data_source = synthetic would ignore it")
 
 
 def parse_config(path: str) -> ExperimentConfig:

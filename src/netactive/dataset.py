@@ -47,6 +47,16 @@ class Sample:
             raise ValueError(f"sample {self.id}: iteration_acquired must be >= 0")
 
 
+def new_corpus(n: int, n_features: int) -> np.recarray:
+    """n records with ids 0..n-1, zero `features` (n_features,) and nan `label`
+    (no label), for the caller to fill: a record array, read by column or row."""
+    dtype = [("id", np.int64), ("features", float, (n_features,)), ("label", float)]
+    corpus = np.zeros(n, dtype).view(np.recarray)
+    corpus.id = np.arange(n)
+    corpus.label = np.nan
+    return corpus
+
+
 @dataclass
 class Normalizer:
     """Per-feature affine map to zero mean / unit deviation."""
@@ -111,34 +121,31 @@ class DataPool:
 
     def __init__(
         self,
-        samples: Iterable[Sample],
+        corpus: np.recarray,
         labeled: Iterable[int],
         unlabeled: Iterable[int],
         test: Iterable[int],
         normalizer: Normalizer | None = None,
     ):
-        samples = list(samples)
-        ids = np.array([s.id for s in samples], dtype=np.int64)
-        repeated = ids[np.bincount(ids)[ids] > 1]
-        if len(repeated):
-            raise ValueError(f"duplicate sample id {repeated[0]}")
-        n = self._next_id = int(ids.max()) + 1 if len(ids) else 0
-        width = len(samples[0].features) if samples else 0
+        ids, width = corpus.id, corpus.features.shape[1]
+        n = max(int(ids.max()) + 1, 0) if len(ids) else 0
         for name, (dtype, fill) in _COLUMNS.items():
             setattr(self, name, np.full((n, width) if name == "_features" else n, fill, dtype))
-        codes = np.zeros(n, np.int8)  # each sample's requested partition
-        for code, part in zip((_LABELED, _UNLABELED, _TEST), (labeled, unlabeled, test)):
-            part = np.unique(np.fromiter(part, dtype=np.int64))
-            unknown = np.setdiff1d(part, ids)
-            if len(unknown):
-                raise AssertionError(f"partition references unknown ids: {unknown[:5].tolist()}")
-            if codes[part].any():
-                raise AssertionError("labeled/unlabeled/test sets are not disjoint")
-            codes[part] = code
-        if not codes[ids].all():
-            raise ValueError(f"sample {ids[codes[ids] == _ABSENT][0]} is in no partition")
-        for sample, code in zip(samples, codes[ids].tolist()):
-            self._add(sample, code)
+        self._next_id = 0
+        self._check_new_ids(ids)  # first, or a repeated id reads as overlapping partitions
+        parts = [np.unique(np.fromiter(p, dtype=np.int64)) for p in (labeled, unlabeled, test)]
+        listed = np.concatenate(parts)
+        unknown = np.setdiff1d(listed, ids)
+        if len(unknown):
+            raise AssertionError(f"partition references unknown ids: {unknown[:5].tolist()}")
+        if len(np.unique(listed)) < len(listed):
+            raise AssertionError("labeled/unlabeled/test sets are not disjoint")
+        members = [np.isin(ids, part) for part in parts]
+        orphans = ids[~np.logical_or.reduce(members)]
+        if len(orphans):
+            raise ValueError(f"sample {orphans[0]} is in no partition")
+        for code, rows in zip((_LABELED, _UNLABELED, _TEST), members):
+            self._write(ids[rows], corpus.features[rows], corpus.label[rows], code, 0, -1)
         self.normalizer = normalizer
 
     def copy(self) -> DataPool:
@@ -216,25 +223,47 @@ class DataPool:
     def add_labeled(self, sample: Sample) -> None:
         self._add(sample, _LABELED)
 
-    def _add(self, sample: Sample, code: int) -> None:
-        sid = sample.id
-        if self._code(sid) != _ABSENT:
-            raise ValueError(f"sample id {sid} already present")
-        if code == _LABELED and sample.label is None:
-            raise ValueError("labeled sample requires a label")
-        if len(sample.features) != self.n_features:
-            raise ValueError(f"sample {sid}: inconsistent feature lengths")
-        if not np.isfinite(sample.features).all():
-            raise ValueError(f"sample {sid}: non-finite features")
-        self._reserve(sid + 1)
-        self._features[sid] = sample.features
-        self._truth[sid] = np.nan if sample.label is None else sample.label
-        self._label[sid] = np.nan if code == _UNLABELED else self._truth[sid]
-        self._origin[sid] = ORIGINS.index(sample.origin)
+    def _add(self, sample: Sample, code: int) -> None:  # the one-row case of _write
         iteration = sample.iteration_acquired
-        self._iteration[sid] = -1 if iteration is None else iteration
-        self._part[sid] = code
-        self._next_id = max(self._next_id, sid + 1)
+        self._write(np.array([sample.id]), sample.features[None, :],
+                    np.array([np.nan if sample.label is None else sample.label]), code,
+                    ORIGINS.index(sample.origin), -1 if iteration is None else iteration)
+
+    def _check_new_ids(self, ids: np.ndarray) -> int:
+        """Refuse negative, repeated or present ids; return the lowest id above them."""
+        listed = ids.tolist()  # a list tests a one-row block ~5x faster than numpy
+        if listed and min(listed) < 0:
+            raise ValueError(f"sample {ids[ids < 0][0]}: ids must be non-negative")
+        if len(set(listed)) < len(listed):
+            values, counts = np.unique(ids, return_counts=True)
+            raise ValueError(f"duplicate sample id {ids[np.isin(ids, values[counts > 1])][0]}")
+        known = ids[ids < len(self._part)]
+        if np.count_nonzero(self._part[known]):
+            raise ValueError(f"sample id {known[self._part[known] != _ABSENT][0]} already present")
+        return max(listed) + 1 if listed else 0
+
+    def _write(self, ids: np.ndarray, features: np.ndarray, truth: np.ndarray, code: int,
+               origin: int, iteration: int) -> None:
+        """The one insertion path: register new samples in partition `code`, every
+        row checked before any is written.  `truth` is each row's ground truth (nan
+        for none), which an unlabeled row hides; `origin` indexes ORIGINS."""
+        top = self._check_new_ids(ids)
+        if features.shape[1] != self.n_features:
+            raise ValueError(f"sample {ids[0]}: inconsistent feature lengths")
+        checks = ((~np.isfinite(features).all(axis=1), "non-finite features"),
+                  (np.isnan(truth) & (code == _LABELED), "labeled sample requires a label"),
+                  ((truth < 0.0) | (truth == np.inf), "label must be finite and non-negative"))
+        for bad, reason in checks:
+            if np.count_nonzero(bad):
+                raise ValueError(f"sample {ids[bad][0]}: {reason}")
+        self._reserve(top)
+        self._features[ids] = features
+        self._truth[ids] = truth
+        self._label[ids] = np.nan if code == _UNLABELED else truth
+        self._origin[ids] = origin
+        self._iteration[ids] = iteration
+        self._part[ids] = code
+        self._next_id = max(self._next_id, top)
 
     def detach_unlabeled(self) -> dict[int, Sample]:
         """Remove every unlabeled sample and return them by id, each carrying
@@ -254,7 +283,7 @@ class DataPool:
 
 @dataclass
 class LoadResult:
-    samples: list[Sample]
+    samples: np.recarray  # a corpus, see new_corpus
     feature_names: list[str]
     rejected_rows: int
 
@@ -278,7 +307,7 @@ def load_csv(
     feature_columns: Sequence[str] | str = "auto",
     categorical_maps: Mapping[str, Mapping[str, float]] | None = None,
 ) -> LoadResult:
-    """Read a telemetry CSV into samples.
+    """Read a telemetry CSV into a corpus (see new_corpus), ids in row order.
 
     Args:
         path: UTF-8 CSV with a header row, one record per line.
@@ -332,14 +361,12 @@ def load_csv(
     if auto and not selected:
         raise ValueError(f"{path}: no numeric feature columns found")
 
-    samples: list[Sample] = []
-    rejected = 0
+    kept: list[list[float]] = []  # each kept row's features, then its label
     for row_num, row in enumerate(rows, start=2):  # header is line 1
         values = []
         for name in selected + [target_column]:
             value = parsed[name][row_num - 2]
             if value == "":
-                rejected += 1
                 break
             if value is None:
                 raise ValueError(
@@ -348,38 +375,39 @@ def load_csv(
                 )
             values.append(value)
         else:
-            *features, label = values
-            if label < 0.0:
+            if values[-1] < 0.0:
                 raise ValueError(
                     f"{path}: line {row_num}, column {target_column!r}: "
-                    f"negative target {label!r}"
+                    f"negative target {values[-1]!r}"
                 )
-            samples.append(Sample(id=len(samples), features=np.array(features, dtype=float),
-                                  label=label))
+            kept.append(values)
 
-    return LoadResult(samples=samples, feature_names=selected, rejected_rows=rejected)
+    corpus = new_corpus(len(kept), len(selected))
+    table = np.array(kept, dtype=float).reshape(len(kept), len(selected) + 1)
+    corpus.features, corpus.label = table[:, :-1], table[:, -1]
+    return LoadResult(samples=corpus, feature_names=selected, rejected_rows=len(rows) - len(kept))
 
 
 def split_pool(
-    samples: Sequence[Sample],
+    corpus: np.recarray,
     test_fraction: float,
     seed_labeled_fraction: float,
     rng_seed: int,
 ) -> DataPool:
-    """Shuffle samples and partition them into test / labeled seed / unlabeled.
+    """Shuffle a corpus and partition it into test / labeled seed / unlabeled.
 
     Sizes are floor(n * test_fraction) for the test set, then
     floor(remainder * seed_labeled_fraction) for the labeled seed; the rest
     becomes the unlabeled pool with labels hidden.  Deterministic per seed.
     """
-    n = len(samples)
+    n = len(corpus)
     if n < 10:
         raise ValueError(f"need at least 10 samples, got {n}")
     if not (0.0 < test_fraction < 1.0 and 0.0 < seed_labeled_fraction < 1.0):
         raise ValueError("fractions must lie strictly between 0 and 1")
-    unlabeled_input = [s.id for s in samples if s.label is None]
-    if unlabeled_input:
-        raise ValueError(f"all samples must carry labels; missing for ids {unlabeled_input[:5]}")
+    missing = corpus.id[np.isnan(corpus.label)]
+    if len(missing):
+        raise ValueError(f"all samples must carry labels; missing for ids {missing[:5].tolist()}")
 
     n_test = math.floor(n * test_fraction)
     remainder = n - n_test
@@ -391,9 +419,8 @@ def split_pool(
         )
 
     order = np.random.default_rng(rng_seed).permutation(n)
-    ids = np.array([s.id for s in samples], dtype=np.int64)[order]
-    test, labeled, unlabeled = np.split(ids, [n_test, n_test + n_labeled])
-    pool = DataPool(samples, labeled, unlabeled, test)
+    test, labeled, unlabeled = np.split(corpus.id[order], [n_test, n_test + n_labeled])
+    pool = DataPool(corpus, labeled, unlabeled, test)
     pool._iteration[pool.labeled] = 0  # the seed counts as acquired before the first cycle
     return pool
 

@@ -218,13 +218,7 @@ class TwinOracle(PoolOracle):
             raw = self.pool.normalizer.denormalize(region.centroid + offset)
             raw = realize_scenario(self.world, raw, rng)
             label = twin_label(self.world, raw, int(rng.integers(0, 2**31)))
-            out.append(Sample(
-                id=sid,
-                features=raw,
-                label=label,
-                origin=ORIGIN_COLLECTED,
-                iteration_acquired=iteration,
-            ))
+            out.append(Sample(sid, raw, label, ORIGIN_COLLECTED, iteration))
         self.budget.charge(count * self.budget.collection_cost)
         for sample in out:
             self.pool.add_unlabeled(sample)  # hides the label again

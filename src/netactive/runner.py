@@ -4,7 +4,7 @@ comparisons, write plot-ready CSV artifacts."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,8 +71,8 @@ def build_world(config: ExperimentConfig) -> TwinWorld:
     )
 
 
-def load_corpus(config: ExperimentConfig) -> tuple[list[Sample], TwinWorld | None]:
-    """Materialize the base sample corpus from CSV or the twin world."""
+def load_corpus(config: ExperimentConfig) -> tuple[np.recarray, TwinWorld | None]:
+    """Materialize the base corpus (see dataset.new_corpus) from CSV or the twin world."""
     if config.data_source == "csv":
         maps = None
         if config.categorical_column:
@@ -94,26 +94,11 @@ def make_loop_config(config: ExperimentConfig, strategy: str, n_features: int) -
         activation=config.activation,
         weight_init_scale=config.weight_init_scale,
     )
-    return LoopConfig(
-        spec=spec,
-        learning_rate=config.learning_rate,
-        strategy=strategy,
-        iterations=config.iterations,
-        batch_size=config.batch_size,
-        mc_passes=config.mc_passes,
-        initial_epochs=config.initial_epochs,
-        fine_tune_epochs=config.fine_tune_epochs,
-        train_batch_size=config.train_batch_size,
-        warm_start=config.warm_start,
-        hybrid_beta=config.hybrid_beta,
-        qbc_members=config.qbc_members,
-        collect_policy=CollectPolicy(
-            enabled=config.collect_enabled, collect_fraction=config.collect_fraction
-        ),
-        aleatoric_val_fraction=config.aleatoric_val_fraction,
-        stream_retrain_every=config.stream_retrain_every,
-        stream_epochs=config.stream_epochs,
-    )
+    # every other LoopConfig field is an ExperimentConfig key of the same name
+    same_named = {f.name: getattr(config, f.name) for f in fields(LoopConfig)
+                  if f.name not in ("spec", "strategy", "collect_policy")}
+    return LoopConfig(spec=spec, strategy=strategy, **same_named, collect_policy=CollectPolicy(
+        enabled=config.collect_enabled, collect_fraction=config.collect_fraction))
 
 
 def make_budget(config: ExperimentConfig) -> Budget:
@@ -135,7 +120,7 @@ def make_oracle(
 
 
 def run_seed(
-    config: ExperimentConfig, corpus: list[Sample], world: TwinWorld | None, master_seed: int
+    config: ExperimentConfig, corpus: np.recarray, world: TwinWorld | None, master_seed: int
 ) -> dict[str, RunResult | TrainingDiverged]:
     """Every strategy's run on one master seed, by strategy: its result, or
     the TrainingDiverged that ended it.  The runs share one split, each on a
@@ -218,10 +203,8 @@ def _probe_features(
 ) -> np.ndarray | None:
     if world is None:
         return None
-    probe = generate_synthetic_dataset(
-        world, config.probe_size, seeding.derive_seed(master_seed, seeding.STREAM_PROBE)
-    )
-    return np.stack([s.features for s in probe])
+    seed = seeding.derive_seed(master_seed, seeding.STREAM_PROBE)
+    return generate_synthetic_dataset(world, config.probe_size, seed).features
 
 
 def curve_filename(strategy: str, seed: int) -> str:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ORIGIN_INGESTED, Sample
+from .dataset import new_corpus
 
 VARIANCE_FLOOR = 1e-6
 
@@ -426,23 +426,19 @@ def _draw_block(world: TwinWorld, rng: np.random.Generator, n: int):
     return features, _throughput(world, features, noise)
 
 
-def generate_synthetic_dataset(world: TwinWorld, n: int, rng_seed: int) -> list[Sample]:
-    """Draw n labeled samples along the loop, deterministic per seed.
-
-    The draws are made per sample in a fixed order and the math runs in
-    batch, so the first m samples of a corpus are the corpus of size m."""
+def generate_synthetic_dataset(world: TwinWorld, n: int, rng_seed: int) -> np.recarray:
+    """Draw a corpus (see dataset.new_corpus) of n labeled samples along the
+    loop, deterministic per seed.  The draws are made per sample in a fixed
+    order and the math runs in blocks, each written straight into the
+    corpus's columns, so the first m samples are the corpus of size m."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    features = np.empty((n, N_FEATURES))
-    labels = np.empty(n)
+    corpus = new_corpus(n, N_FEATURES)
     for lo in range(0, n, GENERATOR_BLOCK_ROWS):
         hi = min(n, lo + GENERATOR_BLOCK_ROWS)
-        features[lo:hi], labels[lo:hi] = _draw_block(world, rng, hi - lo)
-    return [
-        Sample(id=i, features=features[i], label=label, origin=ORIGIN_INGESTED)
-        for i, label in enumerate(labels.tolist())
-    ]
+        corpus.features[lo:hi], corpus.label[lo:hi] = _draw_block(world, rng, hi - lo)
+    return corpus
 
 
 def project_to_schema(world: TwinWorld, features: np.ndarray) -> np.ndarray:
@@ -473,18 +469,14 @@ def realize_scenario(
     return _observe(world, core[None, :], rng.standard_normal((1, 7)))[0]
 
 
-def write_synthetic_csv(samples: list[Sample], path: str) -> None:
-    """Emit the ingestion-compatible CSV: header row, mode as a category name."""
+def write_synthetic_csv(corpus: np.recarray, path: str) -> None:
+    """Emit a corpus as the ingestion-compatible CSV, mode as a category name."""
+    mode = FEATURE_NAMES.index("mode")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(FEATURE_NAMES + [TARGET_NAME]) + "\n")
-        for s in samples:
-            cells = []
-            for idx, value in enumerate(s.features):
-                if FEATURE_NAMES[idx] == "mode":
-                    cells.append(MODE_VALUE_NAMES[int(value)])
-                else:
-                    cells.append(repr(float(value)))
-            cells.append(repr(float(s.label)))
+        for features, label in zip(corpus.features.tolist(), corpus.label.tolist()):
+            cells = [repr(value) for value in features + [label]]
+            cells[mode] = MODE_VALUE_NAMES[int(features[mode])]
             fh.write(",".join(cells) + "\n")
 
 

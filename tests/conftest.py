@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netactive.acquisition import Budget
-from netactive.dataset import DataPool, Normalizer, Sample
+from netactive.dataset import DataPool, Normalizer, new_corpus
 from netactive.loop import LoopConfig, PoolOracle, _LoopState
 
 
@@ -16,11 +16,12 @@ def fixed_model_state():
 
     def build(params, labeled, test):
         (x_lab, y_lab), (x_test, y_test) = labeled, test
-        rows = list(zip(x_lab, y_lab)) + list(zip(x_test, y_test))
-        samples = [Sample(id=i, features=x, label=y) for i, (x, y) in enumerate(rows)]
+        corpus = new_corpus(len(x_lab) + len(x_test), params.spec.n_inputs)
+        corpus.features = np.concatenate([x_lab, x_test])
+        corpus.label = np.concatenate([y_lab, y_test])
         n_lab = len(x_lab)
         pool = DataPool(
-            samples, labeled=range(n_lab), unlabeled=[], test=range(n_lab, len(samples)),
+            corpus, labeled=range(n_lab), unlabeled=[], test=range(n_lab, len(corpus)),
             normalizer=Normalizer(np.zeros(params.spec.n_inputs), np.ones(params.spec.n_inputs)),
         )
         state = _LoopState(LoopConfig(spec=params.spec), pool, PoolOracle(pool, Budget(total=1.0)),

@@ -199,6 +199,20 @@ class TestValidateConfig:
     def test_shipped_configs_accepted(self, name):
         parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
 
+    @pytest.mark.parametrize("key", [
+        "target_column", "feature_columns", "categorical_column", "categorical_map_path",
+    ])
+    def test_csv_keys_refused_for_synthetic_data(self, key):
+        mode_map = os.path.join(os.path.dirname(__file__), "..", "configs", "lumos5g_mode_map.txt")
+        csv_keys = dict(target_column="Throughput", feature_columns="pos_x",
+                        categorical_column="mode", categorical_map_path=mode_map)
+        overrides = {key: csv_keys[key]}
+        if key == "categorical_column":  # it needs a map, or its own check fails first
+            overrides["categorical_map_path"] = mode_map
+        with pytest.raises(ConfigError, match=f"<config>: key '{key}': only csv data reads it"):
+            validate_config(ExperimentConfig(**overrides))
+        validate_config(ExperimentConfig(data_source="csv", csv_path=mode_map, **overrides))
+
     def test_hidden_sizes_must_be_ints(self):
         config = ExperimentConfig(hidden_sizes="64,potato")
         with pytest.raises(ConfigError, match="comma-separated integers"):

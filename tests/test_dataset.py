@@ -13,6 +13,7 @@ from netactive.dataset import (
     Sample,
     fit_normalizer,
     load_csv,
+    new_corpus,
     split_pool,
 )
 from netactive.runner import extract_stream_arrivals
@@ -20,10 +21,19 @@ from netactive.runner import extract_stream_arrivals
 
 def make_samples(n, n_features=3, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        Sample(id=i, features=rng.normal(size=n_features), label=float(abs(rng.normal()) * 10))
-        for i in range(n)
-    ]
+    corpus = new_corpus(n, n_features)
+    for i in range(n):
+        corpus.features[i], corpus.label[i] = rng.normal(size=n_features), abs(rng.normal()) * 10
+    return corpus
+
+
+def as_corpus(samples):
+    """The corpus of `samples`' ids, features and labels (None as nan)."""
+    corpus = new_corpus(len(samples), len(samples[0].features))
+    corpus.id = [s.id for s in samples]
+    corpus.features = [s.features for s in samples]
+    corpus.label = [np.nan if s.label is None else s.label for s in samples]
+    return corpus
 
 
 class TestSample:
@@ -139,8 +149,9 @@ class TestSplitPool:
         n_test = int(np.floor(n * 0.2))
         n_labeled = int(np.floor((n - n_test) * 0.2))
         assert (n_test, n_labeled, n - n_test - n_labeled) == (13_623, 10_899, 43_596)
-        samples = [Sample(id=i, features=np.zeros(1), label=1.0) for i in range(n)]
-        pool = split_pool(samples, 0.2, 0.2, rng_seed=1)
+        corpus = new_corpus(n, 1)
+        corpus.label = 1.0
+        pool = split_pool(corpus, 0.2, 0.2, rng_seed=1)
         assert len(pool.test) == 13_623
         assert len(pool.labeled) == 10_899
         assert len(pool.unlabeled) == 43_596
@@ -166,9 +177,25 @@ class TestSplitPool:
 
     def test_duplicate_ids_named(self):
         samples = make_samples(20)
-        samples[7] = Sample(id=3, features=np.zeros(3), label=1.0)
+        samples.id[7] = 3
         with pytest.raises(ValueError, match="duplicate sample id 3"):
             split_pool(samples, 0.2, 0.2, rng_seed=0)
+
+    @pytest.mark.parametrize("field, row, value, message", [
+        ("id", 4, -1, "sample -1: ids must be non-negative"),
+        ("id", 6, 2, "duplicate sample id 2"),
+        ("label", 5, -1.0, "sample 5: label must be finite and non-negative"),
+        ("label", 5, np.inf, "sample 5: label must be finite and non-negative"),
+    ], ids=["negative_id", "repeated_id", "negative_label", "infinite_label"])
+    def test_bad_corpus_record_named(self, field, row, value, message):
+        # a record array has no per-row guard, and id -1 would index the last row
+        corpus = make_samples(20)
+        getattr(corpus, field)[row] = value
+        for build in (lambda: split_pool(corpus, 0.2, 0.2, rng_seed=0),
+                      lambda: DataPool(corpus, labeled=corpus.id, unlabeled=[], test=[])):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
 
     def test_degenerate_fraction(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -186,7 +213,9 @@ class TestSplitPool:
     )
     @settings(max_examples=40, deadline=None)
     def test_partition_properties(self, n, tf, slf, seed):
-        samples = [Sample(id=i + 7, features=np.zeros(2), label=1.0) for i in range(n)]
+        samples = new_corpus(n, 2)
+        samples.id += 7
+        samples.label = 1.0
         pool = split_pool(samples, tf, slf, rng_seed=seed)
         ids = {s.id for s in samples}
         labeled, unlabeled, test = set(pool.labeled), set(pool.unlabeled), set(pool.test)
@@ -209,17 +238,19 @@ class TestDataPool:
             DataPool(s, labeled={0}, unlabeled={1}, test={2, 9})
 
     def test_inconsistent_feature_lengths_rejected(self):
-        samples = [Sample(0, [1.0, 2.0], 1.0), Sample(1, [1.0], 1.0)]
+        # a corpus has one width, so a row of another can only be added
+        pool = DataPool(as_corpus([Sample(0, [1.0, 2.0], 1.0)]), labeled={0}, unlabeled=set(),
+                        test=set())
         with pytest.raises(ValueError, match="sample 1: inconsistent feature lengths"):
-            DataPool(samples, labeled={0}, unlabeled={1}, test=set())
+            pool.add_unlabeled(Sample(1, [1.0], 1.0))
 
     def test_duplicate_ids_rejected(self):
-        samples = [Sample(0, [1.0], 1.0), Sample(0, [2.0], 1.0)]
+        samples = as_corpus([Sample(0, [1.0], 1.0), Sample(0, [2.0], 1.0)])
         with pytest.raises(ValueError, match="duplicate sample id 0"):
             DataPool(samples, labeled={0}, unlabeled=set(), test=set())
 
     def test_first_repeated_id_in_input_order_named(self):
-        samples = [Sample(i, [float(i)], 1.0) for i in (2, 9, 4, 9, 4)]
+        samples = as_corpus([Sample(i, [float(i)], 1.0) for i in (2, 9, 4, 9, 4)])
         with pytest.raises(ValueError, match="duplicate sample id 9"):
             DataPool(samples, labeled={2, 4, 9}, unlabeled=set(), test=set())
 
@@ -229,7 +260,7 @@ class TestDataPool:
 
     def test_non_finite_features_rejected_at_construction(self):
         samples = make_samples(4)
-        samples[2].features[1] = np.nan
+        samples.features[2, 1] = np.nan
         with pytest.raises(ValueError, match="sample 2: non-finite"):
             DataPool(samples, labeled={0, 1}, unlabeled={2}, test={3})
 
@@ -387,9 +418,22 @@ class TestPoolAgainstReference:
             if code == 0 and s.label is None:
                 s.label = 1.0  # labeled samples carry labels
         parts = [[s.id for s, c in zip(samples, codes) if c == k] for k in range(3)]
-        pool = DataPool(samples, *parts)
+        pool = DataPool(as_corpus(samples), *parts)
         ref = _ReferencePool(samples, *parts)
         _assert_matches(pool, ref)
+        # the same rows written one at a time: the test rows by the
+        # constructor, every other row through add_labeled / add_unlabeled
+        in_test = [s for s, c in zip(samples, codes) if c == 2]
+        rowwise = DataPool(as_corpus(in_test) if in_test else new_corpus(0, 2), [], [], parts[2])
+        for s, code in zip(samples, codes):
+            if code < 2:
+                (rowwise.add_labeled if code == 0 else rowwise.add_unlabeled)(s)
+        assert rowwise.next_id == pool.next_id == n
+        for name, column in vars(pool).items():
+            if isinstance(column, np.ndarray):
+                other = getattr(rowwise, name)
+                assert column.dtype == other.dtype and len(column) == n
+                assert column.tobytes() == other[:n].tobytes(), name  # nan included, bit for bit
         for op, draw in ops:
             r = np.random.default_rng(draw)
             if op in ("unlabeled", "labeled"):
@@ -426,7 +470,7 @@ class TestPoolAgainstReference:
 class TestNormalizer:
     def test_two_point_stats(self):
         pool = DataPool(
-            [Sample(0, [0.0], 1.0), Sample(1, [2.0], 1.0)],
+            as_corpus([Sample(0, [0.0], 1.0), Sample(1, [2.0], 1.0)]),
             labeled={0, 1},
             unlabeled=set(),
             test=set(),
@@ -437,7 +481,7 @@ class TestNormalizer:
 
     def test_constant_feature_clamped(self):
         pool = DataPool(
-            [Sample(0, [5.0], 1.0), Sample(1, [5.0], 1.0)],
+            as_corpus([Sample(0, [5.0], 1.0), Sample(1, [5.0], 1.0)]),
             labeled={0, 1},
             unlabeled=set(),
             test=set(),
@@ -450,10 +494,8 @@ class TestNormalizer:
     def test_refit_statistics_on_random_data(self):
         # independent recomputation of the post-transform statistics
         rng = np.random.default_rng(3)
-        samples = [
-            Sample(id=i, features=rng.normal(5.0, 3.0, size=4), label=1.0)
-            for i in range(1000)
-        ]
+        samples = new_corpus(1000, 4)
+        samples.features, samples.label = rng.normal(5.0, 3.0, size=(1000, 4)), 1.0
         pool = DataPool(samples, labeled={s.id for s in samples}, unlabeled=set(), test=set())
         norm = fit_normalizer(pool)
         z = norm.normalize(pool.feature_matrix(sorted(pool.labeled)))
@@ -461,7 +503,7 @@ class TestNormalizer:
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-6)
 
     def test_fit_excludes_test_features(self):
-        samples = [Sample(0, [0.0], 1.0), Sample(1, [2.0], 1.0), Sample(2, [100.0], 1.0)]
+        samples = as_corpus([Sample(0, [0.0], 1.0), Sample(1, [2.0], 1.0), Sample(2, [100.0], 1.0)])
         pool = DataPool(samples, labeled={0, 1}, unlabeled=set(), test={2})
         norm = fit_normalizer(pool)
         np.testing.assert_allclose(norm.means, [1.0])

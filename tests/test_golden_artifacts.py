@@ -108,6 +108,13 @@ GOLDEN = {
     },
 }
 
+# case -> the hash of the CSV that `netactive synth --n 1500` writes for it;
+# no run artifact holds these bytes
+SYNTH_CSV = {
+    "synthetic_synthesis_csv":
+        "dfa4710751c5a849be9a3ae14b8c5966ce3150d3b3bda075a45badfa5158974f",
+}
+
 # case -> (config, CLI overrides); any other case runs its shipped config as is
 OVERRIDES = {
     f"synthetic_benchmark_{strategy}":
@@ -158,6 +165,7 @@ def test_seed0_artifacts_match_recorded_hashes(case, tmp_path):
         extra = [line.format(csv=csv_path) for line in EXTRA_KEYS[case]]
         if any("{csv}" in line for line in EXTRA_KEYS[case]):
             cli("synth", "--config", config_path, "--n", "1500", "--out", str(csv_path))
+            assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SYNTH_CSV[case]
         keys = {line.split("=", 1)[0].strip() for line in extra}
         with open(config_path, encoding="utf-8") as fh:
             kept = [line for line in fh.read().splitlines()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from netactive.acquisition import STRATEGIES, STRATEGY_INPUTS, Budget, CollectPolicy
-from netactive.dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, fit_normalizer, split_pool
+from netactive.dataset import (
+    ORIGIN_COLLECTED,
+    ORIGIN_SYNTHESIZED,
+    Sample,
+    fit_normalizer,
+    split_pool,
+)
 from netactive.loop import (
     CurveRow,
     LearningCurve,
@@ -681,7 +687,7 @@ class TestStreamLoop:
         pool = small_pool(world=world, seed=seed)
         arrivals = generate_synthetic_dataset(world, n_arrivals, rng_seed=seed + 1)
         base = max(pool.samples) + 1
-        arrivals = [dataclasses.replace(s, id=base + i) for i, s in enumerate(arrivals)]
+        arrivals = [Sample(base + i, s.features, s.label) for i, s in enumerate(arrivals)]
         oracle = PoolOracle(pool, Budget(total=budget_total))
         config = small_config(mc_passes=8, stream_retrain_every=5, **config_overrides)
         curve, log = run_stream_loop(config, arrivals, pool, oracle, policy, rng_seed=seed)

@@ -450,6 +450,15 @@ class TestCli:
         assert err.startswith(f"config error: {cfg}: ") and "feature_columns" in err
         assert not out.exists()
 
+    def test_csv_key_on_synthetic_data_exit_code(self, tmp_path, capsys):
+        modes, out = tmp_path / "modes.map", tmp_path / "out"
+        modes.write_text("walking=0\ndriving=1\n")
+        cfg = self._write_config(tmp_path, categorical_column="nosuch",
+                                 categorical_map_path=str(modes), output_dir=str(out))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key 'categorical_column': " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_categorical_map_for_missing_column_exit_code(self, tmp_path, capsys):
         data, modes = self._synth_csv(tmp_path), tmp_path / "modes.map"
         modes.write_text("walking=0\ndriving=1\n")
