@@ -6,13 +6,21 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import sys
+import os
 
-from .config import ConfigError, ExperimentConfig, parse_config, validate_config
-from .runner import export_query_geography, run_experiment
-from .synth import generate_synthetic_dataset, write_synthetic_csv
+# One BLAS thread unless the caller sets another count: a second OpenBLAS
+# thread competes with the row-parallel kernel workers (parallel.py) and with
+# neighbours on a small machine.  Set before the imports below load numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import sys  # noqa: E402
+
+from .config import ConfigError, ExperimentConfig, parse_config, validate_config  # noqa: E402
+from .runner import export_query_geography, run_experiment  # noqa: E402
+from .synth import generate_synthetic_dataset, write_synthetic_csv  # noqa: E402
 
 
 def _build_parser() -> argparse.ArgumentParser:

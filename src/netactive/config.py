@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .acquisition import STRATEGIES, STRATEGY_INPUTS
+from .loop import STREAM_MIN_HISTORY
 from .neural import ACTIVATIONS
 
 
@@ -129,7 +130,8 @@ _RANGES = {
     "hybrid_beta": (0.0, 1.0, True, True),
     "aleatoric_val_fraction": (0.0, 1.0, True, False),
     "stream_quantile": (0.0, 1.0, False, False),
-    "stream_window": (1, None, True, True),
+    # the loop trusts a threshold only once the window holds this many scores
+    "stream_window": (STREAM_MIN_HISTORY, None, True, True),
     "stream_max_queries": (1, None, True, True),
     "stream_retrain_every": (1, None, True, True),
     "stream_epochs": (0, None, True, True),

@@ -3,8 +3,10 @@ arrival filtering, and density-model query synthesis."""
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -106,8 +108,11 @@ class StreamPolicy:
     def __post_init__(self):
         if not (0.0 < self.uncertainty_threshold_quantile < 1.0):
             raise ValueError("quantile must lie strictly between 0 and 1")
-        if self.window < 1 or self.max_queries < 1:
-            raise ValueError("window and max_queries must be positive")
+        if self.window < STREAM_MIN_HISTORY:
+            raise ValueError(f"window must hold at least {STREAM_MIN_HISTORY} scores, "
+                             "or no threshold is ever trusted")
+        if self.max_queries < 1:
+            raise ValueError("max_queries must be positive")
 
 
 @dataclass
@@ -511,6 +516,47 @@ def _mean(values: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _SortedWindow:
+    """The last `size` stream scores, in arrival order and sorted, so the
+    rolling threshold costs one insort and one delete per arrival instead
+    of a sort."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.recent: deque[float] = deque()  # arrival order
+        self._sorted: list[float] = []  # the non-NaN scores of `recent`, ascending
+        self._nans = 0  # NaN scores in `recent`, which bisect cannot order
+
+    def push(self, score: float) -> None:
+        if len(self.recent) == self.size:
+            leaving = self.recent.popleft()
+            if math.isnan(leaving):
+                self._nans -= 1
+            else:
+                del self._sorted[bisect.bisect_left(self._sorted, leaving)]
+        self.recent.append(score)
+        if math.isnan(score):
+            self._nans += 1
+        else:
+            bisect.insort(self._sorted, score)
+
+    def quantile(self, q: float) -> float:
+        """np.quantile(self.recent, q) bit for bit: numpy's "linear" method
+        in its own operation order, and NaN when a NaN is in the window.
+        (0.0 and -0.0 tie, so either may stand at an index; scores are
+        standard deviations and never -0.0.)"""
+        if self._nans:
+            return float("nan")
+        s = self._sorted
+        n = len(s)
+        v = (n - 1) * q
+        lo = math.floor(v)
+        g = v - lo
+        a, b = s[lo], s[min(lo + 1, n - 1)]
+        d = b - a
+        return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def run_stream_loop(
     config: LoopConfig,
     arrivals: Iterator[Sample] | Iterable[Sample],
@@ -537,17 +583,14 @@ def run_stream_loop(
     )
     state.record(0, _mean(seed_stds))
 
-    history: list[float] = []
+    window = _SortedWindow(policy.window)
     log: list[StreamDecision] = []
     queries = 0
     pending = 0
     for index, sample in enumerate(arrivals):
         score = state.score_arrival(sample, index)
-        window_scores = history[-policy.window :]
-        if len(window_scores) >= STREAM_MIN_HISTORY:
-            threshold = float(
-                np.quantile(window_scores, policy.uncertainty_threshold_quantile)
-            )
+        if len(window.recent) >= STREAM_MIN_HISTORY:
+            threshold = window.quantile(policy.uncertainty_threshold_quantile)
         else:
             threshold = float("inf")
         queried = (
@@ -562,13 +605,13 @@ def run_stream_loop(
             if pending >= config.stream_retrain_every:
                 state.fit(index + 1, config.stream_epochs)
                 pending = 0
-                state.record(len(state.curve.rows), _mean(window_scores))
-        history.append(score)
+                state.record(len(state.curve.rows), _mean(window.recent))
+        window.push(score)
         log.append(StreamDecision(index, score, threshold, queried))
 
     if pending > 0:
         state.fit(len(log) + 1, config.stream_epochs)
-        state.record(len(state.curve.rows), _mean(history[-policy.window :]))
+        state.record(len(state.curve.rows), _mean(window.recent))
     return state.curve, log
 
 

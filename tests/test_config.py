@@ -11,6 +11,7 @@ from netactive.config import (
     parse_config,
     validate_config,
 )
+from netactive.loop import STREAM_MIN_HISTORY
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -155,6 +156,15 @@ class TestValidateConfig:
         config = ExperimentConfig(**{key: value})
         with pytest.raises(ConfigError, match=f"<config>: key '{key}': .* outside range"):
             validate_config(config)
+
+    def test_stream_window_below_min_history_rejected(self):
+        # a shorter window never holds enough scores to trust a threshold,
+        # so the stream would run with no query at all
+        short = STREAM_MIN_HISTORY - 1
+        with pytest.raises(ConfigError,
+                           match=f"<config>: key 'stream_window': value {short} outside"):
+            validate_config(ExperimentConfig(stream_window=short))
+        validate_config(ExperimentConfig(stream_window=STREAM_MIN_HISTORY))
 
     @pytest.mark.parametrize("seeds", ["-1", "0,-2"])
     def test_negative_master_seed_rejected(self, seeds):

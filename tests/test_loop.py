@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netactive.acquisition import STRATEGIES, STRATEGY_INPUTS, Budget, CollectPolicy
 from netactive.dataset import (
@@ -12,6 +15,7 @@ from netactive.dataset import (
     split_pool,
 )
 from netactive.loop import (
+    STREAM_MIN_HISTORY,
     CurveRow,
     LearningCurve,
     LoopConfig,
@@ -26,6 +30,7 @@ from netactive.loop import (
     run_stream_loop,
     run_synthesis_loop,
     start_pool_loop,
+    _SortedWindow,
 )
 from netactive.neural import NetworkParams, NetworkSpec
 from netactive.synth import N_FEATURES, TwinWorld, generate_synthetic_dataset
@@ -730,6 +735,58 @@ class TestStreamLoop:
         _, log, _, oracle = self._run(policy)
         queried = sum(d.queried for d in log)
         assert oracle.budget.spent == queried * oracle.budget.annotation_cost
+
+    def test_every_threshold_is_np_quantile_of_the_previous_window(self):
+        policy = StreamPolicy(uncertainty_threshold_quantile=0.9, window=30, max_queries=1000)
+        _, log, _, _ = self._run(policy, n_arrivals=300)
+        scores = [d.score for d in log]
+        assert sum(d.queried for d in log) > 0
+        for i, d in enumerate(log):
+            previous = scores[max(0, i - policy.window) : i]
+            if len(previous) < STREAM_MIN_HISTORY:
+                assert d.threshold == float("inf")
+            else:
+                assert d.threshold == float(np.quantile(previous, 0.9)), i
+
+    def test_window_shorter_than_min_history_rejected(self):
+        with pytest.raises(ValueError, match=f"at least {STREAM_MIN_HISTORY}"):
+            StreamPolicy(window=STREAM_MIN_HISTORY - 1)
+        StreamPolicy(window=STREAM_MIN_HISTORY)
+
+
+# Ties, zeros and an infinity, plus at most one NaN: the values on which a
+# sorted window could part from np.quantile's partition and interpolation.
+_scores = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 2.5, math.inf]),
+        st.floats(0.0, 1e3).map(lambda x: round(x, 1)),
+        st.floats(0.0, 1e3),
+    ),
+    min_size=1,
+    max_size=150,
+)
+_quantiles = st.one_of(
+    st.sampled_from([0.25, 0.5, 0.75, 0.9]),  # exact halves between two scores
+    st.floats(1e-12, 0.01), st.floats(0.01, 0.99), st.floats(0.99, 1.0 - 1e-12),
+)
+
+
+class TestSortedWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(scores=_scores, nan_at=st.none() | st.integers(0, 150),
+           extra=st.integers(0, 160), q=_quantiles)
+    def test_quantile_is_np_quantile_bit_for_bit(self, scores, nan_at, extra, q):
+        if nan_at is not None:
+            scores = scores[:nan_at] + [math.nan] + scores[nan_at:]
+        size = STREAM_MIN_HISTORY + extra  # up to longer than the sequence
+        window = _SortedWindow(size)
+        for i, score in enumerate(scores):
+            window.push(score)
+            recent = scores[max(0, i + 1 - size) : i + 1]
+            assert [x.hex() for x in window.recent] == [x.hex() for x in recent]
+            with np.errstate(invalid="ignore"):  # inf - inf inside the interpolation
+                expected = float(np.quantile(recent, q))
+            assert window.quantile(q).hex() == expected.hex(), (i, recent, q)
 
 
 class TestSynthesisLoop:

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -420,6 +422,15 @@ class TestCli:
             capsys.readouterr().err)
         assert not out.exists()
 
+    def test_short_stream_window_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, loop="stream", strategies="uncertainty",
+                                 stream_window=5, output_dir=str(out))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key 'stream_window': value 5 outside range" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_dropout_uncertainty_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self._write_config(tmp_path, dropout_rate=0.0, output_dir=str(out))
@@ -479,6 +490,21 @@ class TestCli:
         assert main(["run", "--config", cfg, "--output", str(out)]) == 0
         assert (out / "summary.csv").exists()
         assert len(read_curve_csv(str(out / "curve_uncertainty_seed0.csv")).rows) == 1
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_cli_defaults_blas_threads(self, preset, expected):
+        # a fresh interpreter: in this one numpy is loaded and its threads are set
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        shown = subprocess.run(
+            [sys.executable, "-c",
+             "import netactive.cli, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert shown == expected
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 1
