@@ -81,6 +81,9 @@ def mc_predict(
     # matrix, so a single row evaluates many passes per matrix product while
     # a large tile runs one pass at a time.  The group size follows the
     # widest tile (the last), whichever part of the rows a tile falls in.
+    # A product that serves one pass (group 1) takes the pass's masks in the
+    # next layer's weights, an (h_out, h_in) multiply in place of a
+    # (rows, h_in) one; stacked passes mask the activations.
     group = max(1, MC_GROUP_ROWS // (bounds[-1] - bounds[-2]))
     weights, biases, keep = params.weights, params.biases, spec.keep_prob
     means, epistemic = np.empty(n), np.zeros(n)
@@ -98,13 +101,15 @@ def mc_predict(
         first = np.empty((width, spec.hidden_sizes[0]))
         hidden = [np.empty((min(group, n_passes), width, h)) for h in spec.hidden_sizes]
         outs = np.empty((n_passes, width))
+        # one pass's masked weights per layer past the first, for group 1
+        folded = [np.empty_like(w) for w in weights[1:]] if group == 1 else None
 
         def score() -> None:
             for t_lo, t_hi in zip(tiles, tiles[1:]):
                 rows = t_hi - t_lo
                 # (a * m) / keep and (a / keep) * m agree bit for bit for m
-                # in {0, 1}, so the first layer is divided by keep once per
-                # tile, not per pass
+                # in {0, 1}, so every hidden layer is divided by keep before
+                # its mask is applied, and the first layer once per tile
                 z = first[:rows]
                 np.matmul(x[t_lo:t_hi], weights[0].T, out=z)
                 np.add(z, biases[0], out=z)
@@ -115,20 +120,30 @@ def mc_predict(
                     # several tiles means one pass per group, so these slices
                     # of the buffers and of the result are contiguous and
                     # reshape to views
-                    out = outs[passes, :rows]
-                    a = hidden[0][: len(out), :rows]
-                    np.multiply(z, masks[0][passes, None, :], out=a)
-                    for layer in range(1, len(hidden)):
-                        prev, a = a, hidden[layer][: len(out), :rows]
-                        np.matmul(prev.reshape(-1, prev.shape[2]), weights[layer].T,
-                                  out=a.reshape(-1, a.shape[2]))
-                        np.add(a, biases[layer], out=a)
-                        _act(a, spec.activation, out=a)
-                        np.multiply(a, masks[layer][passes, None, :], out=a)
-                        np.divide(a, keep, out=a)
-                    out = out.reshape(-1, 1)
-                    np.matmul(a.reshape(-1, a.shape[2]), weights[-1].T, out=out)
-                    np.add(out, biases[-1], out=out)
+                    count = min(group, n_passes - start)
+                    a = z
+                    for layer in range(1, len(weights)):
+                        w = weights[layer]
+                        if group == 1:
+                            # (a * m) @ w.T and a @ (w * m).T agree bit for bit
+                            # for m in {0, 1}, with the same operand shapes
+                            w = np.multiply(w, masks[layer - 1][start], out=folded[layer - 1])
+                        else:
+                            # several passes share the product: mask the
+                            # activations, stacked one pass after another
+                            a = np.multiply(a, masks[layer - 1][passes, None, :],
+                                            out=hidden[layer - 1][:count, :rows])
+                        if layer < len(hidden):
+                            out = hidden[layer][:count, :rows]
+                        else:
+                            out = outs[passes, :rows, None]
+                        np.matmul(a.reshape(-1, a.shape[-1]), w.T,
+                                  out=out.reshape(-1, out.shape[-1]))
+                        np.add(out, biases[layer], out=out)
+                        if layer < len(hidden):
+                            _act(out, spec.activation, out=out)
+                            np.divide(out, keep, out=out)
+                        a = out
                 tile_outs, mean, var = outs[:, :rows], means[t_lo:t_hi], epistemic[t_lo:t_hi]
                 tile_outs.mean(axis=0, out=mean)
                 if n_passes > 1:

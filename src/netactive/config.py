@@ -164,6 +164,10 @@ def _parse_value(key: str, raw: str, kind: type, path: str, line_no: int):
 def _check_ranges(config: ExperimentConfig, source: str) -> None:
     for key, (low, high, low_inc, high_inc) in _RANGES.items():
         value = getattr(config, key)
+        # budget_total = inf means no limit (the default); every other float
+        # must be finite, whatever its range
+        if isinstance(value, float) and key != "budget_total" and not math.isfinite(value):
+            raise ConfigError(f"{source}: key {key!r}: value {value!r} must be finite")
         ok = True
         if low is not None:
             ok = ok and (value >= low if low_inc else value > low)

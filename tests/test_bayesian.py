@@ -206,6 +206,33 @@ class TestMcPredict:
         np.testing.assert_array_equal(means, ref_means)
         np.testing.assert_array_equal(variances, ref_vars)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden, dropout", [
+        pytest.param([2, 2], 0.9, id="h2x2-d0.9"),
+        pytest.param([16, 8, 8], 0.5, id="h3-d0.5"),
+    ])
+    @pytest.mark.parametrize("rows", [100, 2 * MC_TILE_ROWS, 3800])
+    def test_edges_match_reference_bytes(self, activation, hidden, dropout, rows):
+        # 100 rows stack two passes per product and mask the activations;
+        # from 2 * MC_TILE_ROWS rows on, a product serves one pass and takes
+        # its masks in the weights.  Both keep the reference's bytes with
+        # exact and negative zeros in the input, and with passes that drop a
+        # whole layer (two units kept with probability 0.1 each)
+        params = init_params(
+            NetworkSpec([3, *hidden, 1], dropout_rate=dropout, activation=activation), 5
+        )
+        x = np.random.default_rng(rows).normal(size=(rows, 3))
+        x[::3, 0] = 0.0
+        x[1::3, 1] = -0.0
+        x[::7] = -0.0
+        masks = draw_dropout_masks(params.spec, np.random.default_rng(8), 50)
+        if dropout == 0.9:
+            assert any((m.sum(axis=1) == 0).any() for m in masks)
+        means, variances = mc_predict(params, x, n_passes=50, rng_seed=8)
+        ref_means, ref_vars = reference_mc(params, x, n_passes=50, rng_seed=8)
+        assert means.tobytes() == ref_means.tobytes()
+        assert variances.tobytes() == ref_vars.tobytes()
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("rows, hidden, passes", TILED_CASES)

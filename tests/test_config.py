@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -114,8 +115,6 @@ class TestFormatConfig:
 
     def test_echo_lists_every_key(self):
         text = format_config(ExperimentConfig())
-        from dataclasses import fields
-
         for f in fields(ExperimentConfig):
             assert f"{f.name} = " in text
 
@@ -156,6 +155,18 @@ class TestValidateConfig:
         config = ExperimentConfig(**{key: value})
         with pytest.raises(ConfigError, match=f"<config>: key '{key}': .* outside range"):
             validate_config(config)
+
+    @pytest.mark.parametrize("key", [
+        f.name for f in fields(ExperimentConfig)
+        if isinstance(f.default, float) and f.name != "budget_total"
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, key, value):
+        # only budget_total takes inf (no limit); an infinite scale, cost,
+        # rate or noise fails deep inside a run instead
+        with pytest.raises(ConfigError, match=f"<config>: key '{key}': value {value!r} must be "
+                                              "finite"):
+            validate_config(ExperimentConfig(**{key: value}))
 
     def test_stream_window_below_min_history_rejected(self):
         # a shorter window never holds enough scores to trust a threshold,

@@ -422,6 +422,16 @@ class TestCli:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["weight_init_scale", "annotation_cost", "world_noise_std",
+                                     "learning_rate"])
+    def test_infinite_float_exit_code(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, output_dir=str(out), **{key: float("inf")})
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key '{key}': value inf must be finite" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_short_stream_window_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self._write_config(tmp_path, loop="stream", strategies="uncertainty",
