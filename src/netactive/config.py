@@ -80,16 +80,22 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def strategy_list(self) -> list[str]:
-        return [s.strip() for s in self.strategies.split(",") if s.strip()]
+        return _entries(self.strategies)
 
     def seed_list(self) -> list[int]:
-        return [int(s.strip()) for s in self.seeds.split(",") if s.strip()]
+        return [int(s) for s in _entries(self.seeds)]
 
     def feature_column_list(self) -> list[str]:
-        return [c.strip() for c in self.feature_columns.split(",") if c.strip()]
+        return _entries(self.feature_columns)
 
     def hidden_size_list(self) -> list[int]:
-        return [int(s.strip()) for s in self.hidden_sizes.split(",") if s.strip()]
+        return [int(s) for s in _entries(self.hidden_sizes)]
+
+
+def _entries(raw: str) -> list[str]:
+    """A list key's stripped entries, or none if all are blank (see validate_config)."""
+    entries = [entry.strip() for entry in raw.split(",")]
+    return entries if any(entries) else []
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -184,6 +190,9 @@ def _check_ranges(config: ExperimentConfig, source: str) -> None:
 def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
     """Range and cross-field checks plus referenced-file existence."""
     _check_ranges(config, source)
+    for key in ("strategies", "seeds", "feature_columns", "hidden_sizes"):
+        if "" in _entries(getattr(config, key)):
+            raise ConfigError(f"{source}: key {key!r}: empty entry in {getattr(config, key)!r}")
     for key, choices in _CHOICES.items():
         if getattr(config, key) not in choices:
             raise ConfigError(f"{source}: key {key!r} must be one of {choices}")

@@ -20,31 +20,13 @@ STD_FLOOR = 1e-8
 
 @dataclass(eq=False)
 class Sample:
-    """One telemetry record: feature vector plus an optional throughput label."""
+    """One pool member as DataPool.samples reads it: features plus an optional label."""
 
     id: int
     features: np.ndarray
     label: float | None = None
     origin: str = ORIGIN_INGESTED
     iteration_acquired: int | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.id < 0:
-            raise ValueError(f"sample {self.id}: ids must be non-negative")
-        if self.features.ndim != 1:
-            raise ValueError(f"sample {self.id}: features must be a 1-D vector")
-        if self.origin not in ORIGINS:
-            raise ValueError(f"sample {self.id}: unknown origin {self.origin!r}")
-        if self.label is not None:
-            label = float(self.label)
-            if not math.isfinite(label) or label < 0.0:
-                raise ValueError(
-                    f"sample {self.id}: label must be finite and non-negative, got {label!r}"
-                )
-            self.label = label
-        if self.iteration_acquired is not None and self.iteration_acquired < 0:
-            raise ValueError(f"sample {self.id}: iteration_acquired must be >= 0")
 
 
 def new_corpus(n: int, n_features: int) -> np.recarray:
@@ -79,35 +61,36 @@ class Normalizer:
         return np.asarray(x, dtype=float) * self.stds + self.means
 
 
-# Partition codes.  Row i of a pool's columns belongs to sample id i, and a
-# row whose code is _ABSENT holds no sample.
-_ABSENT, _LABELED, _UNLABELED, _TEST = 0, 1, 2, 3
+# Partition codes.  Row i of a pool's columns belongs to sample id i, and the
+# codes above _ABSENT are members: an _ARRIVING row waits to be admitted.
+_ARRIVING, _ABSENT, _LABELED, _UNLABELED, _TEST = -1, 0, 1, 2, 3
+_ADDABLE = {"labeled": _LABELED, "unlabeled": _UNLABELED, "arriving": _ARRIVING}  # never test
 # Every column's dtype and the value it holds in an absent row.
 _COLUMNS = {"_features": (float, 0.0), "_label": (float, np.nan), "_truth": (float, np.nan),
             "_origin": (np.int8, 0), "_iteration": (np.int64, -1), "_part": (np.int8, _ABSENT)}
 
 
 class _SampleView(Mapping):
-    """Read-only id -> Sample map over a pool's rows, built on access.  It names
-    its label column rather than holding it, because growth replaces the arrays."""
+    """Read-only id -> Sample map over a pool's members, built on access.  It
+    holds the pool rather than its arrays, because growth replaces them."""
 
-    def __init__(self, pool: DataPool, labels: str = "_label"):
-        self._pool, self._labels = pool, labels
+    def __init__(self, pool: DataPool):
+        self._pool = pool
 
     def __getitem__(self, sample_id: int) -> Sample:
         pool = self._pool
-        if pool._code(sample_id) == _ABSENT:
+        if pool._code(sample_id) <= _ABSENT:
             raise KeyError(sample_id)
-        label, iteration = getattr(pool, self._labels)[sample_id], pool._iteration[sample_id]
+        label, iteration = pool._label[sample_id], pool._iteration[sample_id]
         return Sample(int(sample_id), pool._features[sample_id].copy(),
                       None if np.isnan(label) else float(label),
                       ORIGINS[pool._origin[sample_id]], None if iteration < 0 else int(iteration))
 
     def __iter__(self):
-        return iter(np.flatnonzero(self._pool._part).tolist())
+        return iter(np.flatnonzero(self._pool._part > _ABSENT).tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._pool._part))
+        return int(np.count_nonzero(self._pool._part > _ABSENT))
 
 
 class DataPool:
@@ -180,7 +163,7 @@ class DataPool:
     def feature_matrix(self, ids: Sequence[int]) -> np.ndarray:
         """Raw feature rows for `ids`, preserving the given order."""
         ids = np.asarray(ids, dtype=np.int64)
-        absent = ids[self._part[ids] == _ABSENT]
+        absent = ids[self._part[ids] <= _ABSENT]
         if len(absent):
             raise KeyError(f"no sample with id {absent[0]}")
         return self._features[ids]
@@ -216,18 +199,34 @@ class DataPool:
         self._part[sample_id] = _LABELED
         return float(self._label[sample_id])
 
-    def add_unlabeled(self, sample: Sample) -> None:
-        """Register a new unlabeled sample; a label it carries becomes hidden truth."""
-        self._add(sample, _UNLABELED)
+    def admit(self, sample_id: int) -> None:
+        """Move a stream arrival into the unlabeled partition, its label hidden."""
+        if self._code(sample_id) != _ARRIVING:
+            raise ValueError(f"sample {sample_id} is not arriving")
+        self._part[sample_id] = _UNLABELED
 
-    def add_labeled(self, sample: Sample) -> None:
-        self._add(sample, _LABELED)
+    def queue_arrivals(self, ids: Sequence[int]) -> None:
+        """Make the unlabeled `ids` arrivals; drop every other unlabeled sample."""
+        ids = np.asarray(ids, dtype=np.int64)
+        stray = ids[self._part[ids] != _UNLABELED]
+        if len(stray):
+            raise ValueError(f"sample {stray[0]} is not unlabeled")
+        self._part[self._part == _UNLABELED] = _ABSENT
+        self._part[ids] = _ARRIVING
 
-    def _add(self, sample: Sample, code: int) -> None:  # the one-row case of _write
-        iteration = sample.iteration_acquired
-        self._write(np.array([sample.id]), sample.features[None, :],
-                    np.array([np.nan if sample.label is None else sample.label]), code,
-                    ORIGINS.index(sample.origin), -1 if iteration is None else iteration)
+    def add(self, ids: Sequence[int], features: np.ndarray, truth: Sequence[float],
+            partition: str, origin: str, iteration: int) -> None:
+        """Register new samples as one block: sample ids[k] has raw `features[k]`
+        and ground truth `truth[k]` (nan for none), which "unlabeled" and
+        "arriving" hide and "labeled" shows.  `origin` is an ORIGINS name, and
+        every row was acquired at `iteration` (-1 for none)."""
+        if partition not in _ADDABLE:
+            raise ValueError(f"cannot add to partition {partition!r}")
+        if origin not in ORIGINS:
+            raise ValueError(f"unknown origin {origin!r}; expected one of {ORIGINS}")
+        self._write(np.asarray(ids, dtype=np.int64), np.asarray(features, dtype=float),
+                    np.asarray(truth, dtype=float), _ADDABLE[partition], ORIGINS.index(origin),
+                    iteration)
 
     def _check_new_ids(self, ids: np.ndarray) -> int:
         """Refuse negative, repeated or present ids; return the lowest id above them."""
@@ -246,7 +245,9 @@ class DataPool:
                origin: int, iteration: int) -> None:
         """The one insertion path: register new samples in partition `code`, every
         row checked before any is written.  `truth` is each row's ground truth (nan
-        for none), which an unlabeled row hides; `origin` indexes ORIGINS."""
+        for none), which only a labeled or test row shows; `origin` indexes ORIGINS."""
+        if features.ndim != 2 or not ids.shape == truth.shape == features.shape[:1]:
+            raise ValueError("ids, features and truth must give one row per sample")
         top = self._check_new_ids(ids)
         if features.shape[1] != self.n_features:
             raise ValueError(f"sample {ids[0]}: inconsistent feature lengths")
@@ -259,24 +260,17 @@ class DataPool:
         self._reserve(top)
         self._features[ids] = features
         self._truth[ids] = truth
-        self._label[ids] = np.nan if code == _UNLABELED else truth
+        self._label[ids] = truth if code in (_LABELED, _TEST) else np.nan
         self._origin[ids] = origin
         self._iteration[ids] = iteration
         self._part[ids] = code
         self._next_id = max(self._next_id, top)
 
-    def detach_unlabeled(self) -> dict[int, Sample]:
-        """Remove every unlabeled sample and return them by id, each carrying
-        its ground truth as label.  next_id does not move."""
-        ids, records = self.unlabeled, _SampleView(self, "_truth")
-        detached = {sid: records[sid] for sid in ids.tolist()}
-        self._part[ids] = _ABSENT
-        return detached
-
     def check_invariants(self) -> None:
-        """A labeled sample shows its label, an unlabeled one hides it."""
+        """A labeled sample shows its label, an unlabeled one or an arrival hides it."""
         shown = ~np.isnan(self._label)
-        wrong = np.where(self._part == _LABELED, ~shown, shown & (self._part == _UNLABELED))
+        hidden = (self._part == _UNLABELED) | (self._part == _ARRIVING)
+        wrong = np.where(self._part == _LABELED, ~shown, shown & hidden)
         if wrong.any():
             raise AssertionError(f"sample {np.argmax(wrong)}: visible label contradicts partition")
 

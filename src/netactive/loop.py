@@ -8,7 +8,7 @@ import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .acquisition import (
     strategy_inputs,
 )
 from .bayesian import Committee, mc_predict
-from .dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, DataPool, Sample, fit_normalizer
+from .dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, DataPool, fit_normalizer
 from .neural import NetworkParams, NetworkSpec, init_params, predict, train
 from .synth import TwinWorld, fit_gmm, realize_scenario, sample_gmm, twin_label
 
@@ -180,7 +180,7 @@ class PoolOracle:
         self.budget.charge(self.budget.annotation_cost)
         return self.pool.reveal(sample_id, iteration)
 
-    def collect(self, region: CollectRegion, count: int, iteration: int) -> list[Sample]:
+    def collect(self, region: CollectRegion, count: int, iteration: int) -> list[int]:
         raise OracleError("collection requires a twin-world oracle")
 
 
@@ -200,38 +200,37 @@ class TwinOracle(PoolOracle):
         self._calls += 1
         return np.random.default_rng(seeding.derive_seed(self._rng_seed, self._calls))
 
-    def collect(self, region: CollectRegion, count: int, iteration: int) -> list[Sample]:
-        """Gather `count` new unlabeled samples near the region centroid.
+    def collect(self, region: CollectRegion, count: int, iteration: int) -> list[int]:
+        """Gather `count` new unlabeled samples near the region centroid; return their ids.
 
         Points are drawn uniformly in the normalized-space ball, mapped back
-        to raw features, snapped onto the valid schema and registered with
-        their ground truth hidden.  Charges count * collection_cost once.
-        Every sample is built before the budget is charged and any sample
-        is registered, so a failure leaves budget and pool untouched."""
+        to raw features, snapped onto the valid schema and registered in one
+        block, their ground truth hidden.  Charges count * collection_cost
+        once, after every sample is labeled, so a twin-world failure or an
+        unaffordable charge leaves budget and pool untouched."""
         if count < 1:
             return []
         if self.pool.normalizer is None:
             raise OracleError("collection requires a fitted normalizer on the pool")
         rng = self._next_rng()
         dim = region.centroid.shape[0]
-        out = []
-        for sid in range(self.pool.next_id, self.pool.next_id + count):
+        rows, labels = [], []
+        for _ in range(count):
             direction = rng.standard_normal(dim)
             norm = np.linalg.norm(direction)
             direction = direction / norm if norm > 0 else direction
             offset = direction * region.radius * rng.random() ** (1.0 / dim)
             raw = self.pool.normalizer.denormalize(region.centroid + offset)
-            raw = realize_scenario(self.world, raw, rng)
-            label = twin_label(self.world, raw, int(rng.integers(0, 2**31)))
-            out.append(Sample(sid, raw, label, ORIGIN_COLLECTED, iteration))
+            rows.append(realize_scenario(self.world, raw, rng))
+            labels.append(twin_label(self.world, rows[-1], int(rng.integers(0, 2**31))))
         self.budget.charge(count * self.budget.collection_cost)
-        for sample in out:
-            self.pool.add_unlabeled(sample)  # hides the label again
-        return out
+        ids = list(range(self.pool.next_id, self.pool.next_id + count))
+        self.pool.add(ids, rows, labels, "unlabeled", ORIGIN_COLLECTED, iteration)
+        return ids
 
-    def synthesize(self, features: np.ndarray, iteration: int) -> Sample:
-        """Induce a proposed scenario in the twin world, observe its label and
-        register the result as a labeled sample acquired at `iteration`.
+    def synthesize(self, features: np.ndarray, iteration: int) -> int:
+        """Induce a proposed scenario in the twin world, observe its label,
+        register the result as a labeled sample acquired at `iteration`; return its id.
 
         Charges one annotation plus one collection once the twin world has
         labeled the scenario, so a failure leaves budget and pool untouched."""
@@ -239,10 +238,9 @@ class TwinOracle(PoolOracle):
         raw = realize_scenario(self.world, np.asarray(features, dtype=float), rng)
         label = twin_label(self.world, raw, int(rng.integers(0, 2**31)))
         self.budget.charge(self.budget.annotation_cost + self.budget.collection_cost)
-        sample = Sample(id=self.pool.next_id, features=raw, label=label,
-                        origin=ORIGIN_SYNTHESIZED, iteration_acquired=iteration)
-        self.pool.add_labeled(sample)
-        return sample
+        sid = self.pool.next_id
+        self.pool.add([sid], raw[None, :], [label], "labeled", ORIGIN_SYNTHESIZED, iteration)
+        return sid
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +380,12 @@ class _LoopState:
         fork.fit_committee(0, fork.config.initial_epochs)
         return fork
 
-    def score_arrival(self, sample: Sample, index: int) -> float:
-        """Register stream arrival `index` as unlabeled, its label hidden, and
-        return its epistemic standard deviation (Mbps)."""
-        self.pool.add_unlabeled(sample)
+    def score_arrival(self, sample_id: int, index: int) -> float:
+        """Admit stream arrival `index` into the unlabeled partition, its label
+        hidden, and return its epistemic standard deviation (Mbps)."""
+        self.pool.admit(sample_id)
         seed = seeding.derive_seed(self.master_seed, index, seeding.STREAM_SCORE)
-        return float(self.epistemic_std_mbps(self.pool.normalized_features([sample.id]), seed)[0])
+        return float(self.epistemic_std_mbps(self.pool.normalized_features([sample_id]), seed)[0])
 
     def score_unlabeled(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ascending unlabeled ids, their normalized features and their
@@ -559,7 +557,7 @@ class _SortedWindow:
 
 def run_stream_loop(
     config: LoopConfig,
-    arrivals: Iterator[Sample] | Iterable[Sample],
+    arrivals: Iterable[int],
     pool: DataPool,
     oracle: PoolOracle,
     policy: StreamPolicy,
@@ -567,11 +565,11 @@ def run_stream_loop(
 ) -> tuple[LearningCurve, list[StreamDecision]]:
     """Decide per arrival whether to query its label.
 
-    An arrival is queried when its epistemic std exceeds the rolling
-    quantile of the last `window` arrival scores, budget remains and the
-    query cap is not hit.  The model fine-tunes every
-    config.stream_retrain_every queries.  Returns the learning curve plus
-    the full per-arrival decision log."""
+    `arrivals` yields ids waiting in `pool` as arrivals.  Each is admitted as
+    unlabeled, and queried when its epistemic std exceeds the rolling quantile
+    of the last `window` arrival scores, budget remains and the query cap is
+    not hit.  The model fine-tunes every config.stream_retrain_every queries.
+    Returns the learning curve plus the full per-arrival decision log."""
     if config.strategy != "uncertainty":  # it ranks by MC-dropout; a committee goes unread
         raise ValueError("the stream loop scores by epistemic uncertainty only, "
                          f"not strategy {config.strategy!r}")
@@ -587,8 +585,8 @@ def run_stream_loop(
     log: list[StreamDecision] = []
     queries = 0
     pending = 0
-    for index, sample in enumerate(arrivals):
-        score = state.score_arrival(sample, index)
+    for index, sample_id in enumerate(arrivals):
+        score = state.score_arrival(sample_id, index)
         if len(window.recent) >= STREAM_MIN_HISTORY:
             threshold = window.quantile(policy.uncertainty_threshold_quantile)
         else:
@@ -599,7 +597,7 @@ def run_stream_loop(
             and oracle.budget.can_afford(oracle.budget.annotation_cost)
         )
         if queried:
-            oracle.annotate(sample.id, index)
+            oracle.annotate(sample_id, index)
             queries += 1
             pending += 1
             if pending >= config.stream_retrain_every:

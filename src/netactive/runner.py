@@ -11,7 +11,7 @@ import numpy as np
 from . import seeding
 from .acquisition import Budget, CollectPolicy
 from .config import ExperimentConfig, format_config, load_categorical_map
-from .dataset import DataPool, Sample, fit_normalizer, load_csv, split_pool
+from .dataset import DataPool, fit_normalizer, load_csv, split_pool
 from .loop import (
     LearningCurve,
     LoopConfig,
@@ -183,19 +183,17 @@ def run_single(
     return RunResult(strategy=strategy, seed=master_seed, curve=curve, pool=pool)
 
 
-def extract_stream_arrivals(pool: DataPool, n: int, rng_seed: int) -> list[Sample]:
-    """Detach the unlabeled partition into a seeded arrival sequence.
-
-    The first n shuffled samples leave the pool carrying their ground
-    truth (the stream loop re-registers and re-hides each one on arrival);
-    the leftovers drop out of the experiment entirely.  Asking for more
-    arrivals than the pool holds raises ValueError."""
+def extract_stream_arrivals(pool: DataPool, n: int, rng_seed: int) -> list[int]:
+    """The ids of n seeded-shuffled unlabeled samples, in arrival order: they
+    wait in the pool as arrivals, truth hidden, until the stream loop admits
+    each one, and the leftovers drop out of the experiment entirely.  Asking
+    for more arrivals than the pool holds raises ValueError."""
     ids = pool.unlabeled
     if n > len(ids):
         raise ValueError(f"{n} stream arrivals requested; the pool holds only {len(ids)} unlabeled")
-    order = np.random.default_rng(rng_seed).permutation(len(ids))
-    detached = pool.detach_unlabeled()
-    return [detached[sid] for sid in ids[order[:n]].tolist()]
+    arrivals = ids[np.random.default_rng(rng_seed).permutation(len(ids))[:n]]
+    pool.queue_arrivals(arrivals)
+    return arrivals.tolist()
 
 
 def _probe_features(

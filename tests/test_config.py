@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import fields
 
 import pytest
@@ -233,6 +234,21 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"<config>: key '{key}': only csv data reads it"):
             validate_config(ExperimentConfig(**overrides))
         validate_config(ExperimentConfig(data_source="csv", csv_path=mode_map, **overrides))
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_sizes", "64,,64"), ("hidden_sizes", "64,"), ("seeds", "0,,1"),
+        ("strategies", "uncertainty,,random"), ("feature_columns", "pos_x, ,pos_y"),
+    ])
+    def test_empty_list_entry_rejected(self, key, value):
+        csv = dict(data_source="csv", csv_path=__file__) if key == "feature_columns" else {}
+        message = f"<config>: key '{key}': empty entry in {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate_config(ExperimentConfig(**{key: value}, **csv))
+
+    @pytest.mark.parametrize("value", ["", " ", ","])
+    def test_blank_hidden_sizes_mean_no_hidden_layer(self, value):
+        validate_config(ExperimentConfig(hidden_sizes=value, strategies="random"))
+        assert ExperimentConfig(hidden_sizes=value).hidden_size_list() == []
 
     def test_hidden_sizes_must_be_ints(self):
         config = ExperimentConfig(hidden_sizes="64,potato")

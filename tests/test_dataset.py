@@ -36,24 +36,6 @@ def as_corpus(samples):
     return corpus
 
 
-class TestSample:
-    def test_rejects_negative_label(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Sample(id=0, features=[1.0], label=-1.0)
-
-    def test_rejects_non_finite_label(self):
-        with pytest.raises(ValueError):
-            Sample(id=0, features=[1.0], label=float("nan"))
-
-    def test_rejects_negative_id(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Sample(id=-1, features=[1.0], label=1.0)
-
-    def test_rejects_unknown_origin(self):
-        with pytest.raises(ValueError, match="origin"):
-            Sample(id=0, features=[1.0], label=1.0, origin="guessed")
-
-
 class TestLoadCsv:
     def test_three_row_parse(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -242,7 +224,7 @@ class TestDataPool:
         pool = DataPool(as_corpus([Sample(0, [1.0, 2.0], 1.0)]), labeled={0}, unlabeled=set(),
                         test=set())
         with pytest.raises(ValueError, match="sample 1: inconsistent feature lengths"):
-            pool.add_unlabeled(Sample(1, [1.0], 1.0))
+            pool.add([1], [[1.0]], [1.0], "unlabeled", ORIGIN_INGESTED, -1)
 
     def test_duplicate_ids_rejected(self):
         samples = as_corpus([Sample(0, [1.0], 1.0), Sample(0, [2.0], 1.0)])
@@ -264,18 +246,49 @@ class TestDataPool:
         with pytest.raises(ValueError, match="sample 2: non-finite"):
             DataPool(samples, labeled={0, 1}, unlabeled={2}, test={3})
 
-    @pytest.mark.parametrize("method", ["add_unlabeled", "add_labeled"])
-    def test_non_finite_features_rejected_on_add(self, method):
+    @pytest.mark.parametrize("partition", ["unlabeled", "labeled", "arriving"],
+                             ids=lambda partition: f"add_{partition}")
+    def test_non_finite_features_rejected_on_add(self, partition):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         sid = pool.next_id
         with pytest.raises(ValueError, match=f"sample {sid}: non-finite"):
-            getattr(pool, method)(Sample(sid, [0.0, np.inf, 1.0], label=1.0))
+            pool.add([sid], [[0.0, np.inf, 1.0]], [1.0], partition, ORIGIN_INGESTED, -1)
         assert sid not in pool.samples and pool.next_id == sid  # a failed add takes no id
+        pool.add([sid], np.zeros((1, 3)), [1.0], partition, ORIGIN_INGESTED, -1)
+
+    @pytest.mark.parametrize("sid, truth, partition, origin, message", [
+        (20, -1.0, "unlabeled", ORIGIN_INGESTED,
+         "sample 20: label must be finite and non-negative"),
+        (20, np.nan, "labeled", ORIGIN_INGESTED, "sample 20: labeled sample requires a label"),
+        (-1, 1.0, "labeled", ORIGIN_INGESTED, "sample -1: ids must be non-negative"),
+        (20, 1.0, "unlabeled", "guessed", "unknown origin 'guessed'"),
+        (20, 1.0, "test", ORIGIN_INGESTED, "cannot add to partition 'test'"),
+    ], ids=["negative_label", "nan_label_on_labeled", "negative_id", "unknown_origin",
+            "test_partition"])
+    def test_bad_row_rejected_on_add(self, sid, truth, partition, origin, message):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        before = {name: np.copy(v) for name, v in vars(pool).items() if isinstance(v, np.ndarray)}
+        with pytest.raises(ValueError) as info:
+            pool.add([sid], np.zeros((1, 3)), [truth], partition, origin, -1)
+        assert str(info.value).startswith(message)
+        assert pool.next_id == 20 and all(
+            np.array_equal(getattr(pool, name), v, equal_nan=True) for name, v in before.items())
+
+    @pytest.mark.parametrize("ids, features, truth", [
+        ([20, 21], np.zeros((1, 3)), [1.0, 1.0]),
+        ([20], np.zeros((1, 3)), 1.0),
+        ([20], np.zeros(3), [1.0]),
+    ], ids=["short_features", "scalar_truth", "one_dim_features"])
+    def test_block_shape_rejected_on_add(self, ids, features, truth):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        with pytest.raises(ValueError, match="one row per sample"):
+            pool.add(ids, features, truth, "unlabeled", ORIGIN_INGESTED, -1)
+        assert pool.next_id == 20
 
     def test_wrong_feature_length_rejected_on_add(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         with pytest.raises(ValueError, match="inconsistent feature lengths"):
-            pool.add_unlabeled(Sample(pool.next_id, [0.0, 1.0], label=1.0))
+            pool.add([pool.next_id], [[0.0, 1.0]], [1.0], "unlabeled", ORIGIN_INGESTED, -1)
 
     def test_samples_view_builds_records_on_access(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
@@ -293,7 +306,7 @@ class TestDataPool:
         grown = 0
         for _ in range(3000):
             before = pool._features
-            pool.add_unlabeled(Sample(pool.next_id, np.zeros(3), label=1.0))
+            pool.add([pool.next_id], np.zeros((1, 3)), [1.0], "unlabeled", ORIGIN_INGESTED, -1)
             grown += pool._features is not before
         # 1/8 steps from 8 to 3008 rows: ~50 reallocations, not 3000,
         # and at most 1/8 of the capacity left over
@@ -303,11 +316,46 @@ class TestDataPool:
     def test_next_id_stays_above_extracted_ids(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         top = pool.next_id + 5
-        pool.add_unlabeled(Sample(top, np.zeros(3), label=2.0))
+        pool.add([top], np.zeros((1, 3)), [2.0], "unlabeled", ORIGIN_INGESTED, -1)
         arrivals = extract_stream_arrivals(pool, 3, rng_seed=1)
         assert top not in pool.samples and not len(pool.unlabeled)
         assert pool.next_id == top + 1
-        assert all(a.label is not None for a in arrivals)
+        for sid in arrivals:  # each arrival carries its ground truth, hidden
+            pool.admit(sid)
+            assert pool.has_hidden_label(sid)
+
+    def test_arrival_is_no_member_until_admitted(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        sid = pool.next_id
+        pool.add([sid], np.ones((1, 3)), [4.0], "arriving", ORIGIN_COLLECTED, 2)
+        assert sid not in pool.samples and len(pool.samples) == 20
+        assert sid not in pool.unlabeled and not pool.has_hidden_label(sid)
+        with pytest.raises(KeyError, match=f"no sample with id {sid}"):
+            pool.feature_matrix([sid])
+        with pytest.raises(ValueError, match="not in the unlabeled set"):
+            pool.reveal(sid, iteration=3)
+        with pytest.raises(ValueError, match=f"sample id {sid} already present"):
+            pool.add([sid], np.ones((1, 3)), [4.0], "arriving", ORIGIN_COLLECTED, 2)
+        pool.check_invariants()
+        pool.admit(sid)
+        assert sid in pool.unlabeled and pool.samples[sid].label is None
+        np.testing.assert_array_equal(pool.feature_matrix([sid]), np.ones((1, 3)))
+        assert pool.reveal(sid, iteration=3) == 4.0
+        record = pool.samples[sid]
+        assert (record.origin, record.iteration_acquired) == (ORIGIN_COLLECTED, 3)
+
+    @pytest.mark.parametrize("partition", ["labeled", "unlabeled", "test", "absent", "admitted"])
+    def test_admit_refuses_non_arrivals(self, partition):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        pool.add([20], np.zeros((1, 3)), [1.0], "arriving", ORIGIN_INGESTED, -1)
+        if partition == "admitted":
+            pool.admit(20)
+        sid = {"absent": 21, "admitted": 20}.get(partition)
+        sid = int(getattr(pool, partition)[0]) if sid is None else sid
+        codes = pool._part.copy()
+        with pytest.raises(ValueError, match=f"^sample {sid} is not arriving$"):
+            pool.admit(sid)
+        np.testing.assert_array_equal(pool._part, codes)
 
     def test_reveal_moves_partition(self):
         samples = make_samples(20)
@@ -328,7 +376,7 @@ class TestDataPool:
         twin = pool.copy()
         columns = {name: np.copy(v) for name, v in vars(pool).items() if isinstance(v, np.ndarray)}
         twin.reveal(int(twin.unlabeled[0]), iteration=1)
-        twin.add_unlabeled(Sample(twin.next_id, np.zeros(3), label=1.0))
+        twin.add([twin.next_id], np.zeros((1, 3)), [1.0], "unlabeled", ORIGIN_INGESTED, -1)
         for name, values in columns.items():
             np.testing.assert_array_equal(getattr(pool, name), values)
         assert pool.next_id == 20 and twin.next_id == 21
@@ -344,7 +392,7 @@ class TestDataPool:
     def test_add_unlabeled_hides_label(self):
         pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
         sid = pool.next_id
-        pool.add_unlabeled(Sample(id=sid, features=np.zeros(3), label=5.0))
+        pool.add([sid], np.zeros((1, 3)), [5.0], "unlabeled", ORIGIN_INGESTED, -1)
         assert pool.samples[sid].label is None
         assert pool.reveal(sid, iteration=1) == 5.0
 
@@ -370,14 +418,21 @@ class _ReferencePool:
         self.next_id = max(self.next_id, sample.id + 1)
 
     def extract(self, n, rng_seed):
+        """Remove every unlabeled sample; return the first n shuffled ones as
+        (id, row, hidden truth), for admit."""
         ids = sorted(self.unlabeled)
         order = np.random.default_rng(rng_seed).permutation(len(ids))
-        arrivals = [(ids[i], self.hidden.get(ids[i])) for i in order[:n]]
+        arrivals = [(ids[i], self.rows[ids[i]], self.hidden.get(ids[i])) for i in order[:n]]
         for sid in ids:
             self.rows.pop(sid)
             self.hidden.pop(sid, None)
         self.unlabeled.clear()
         return arrivals
+
+    def admit(self, sid, row, truth):
+        self.rows[sid] = row
+        self.unlabeled.add(sid)
+        self.hidden[sid] = truth
 
 
 def _assert_matches(pool, ref):
@@ -422,12 +477,13 @@ class TestPoolAgainstReference:
         ref = _ReferencePool(samples, *parts)
         _assert_matches(pool, ref)
         # the same rows written one at a time: the test rows by the
-        # constructor, every other row through add_labeled / add_unlabeled
+        # constructor, every other row through a one-row add
         in_test = [s for s, c in zip(samples, codes) if c == 2]
         rowwise = DataPool(as_corpus(in_test) if in_test else new_corpus(0, 2), [], [], parts[2])
         for s, code in zip(samples, codes):
             if code < 2:
-                (rowwise.add_labeled if code == 0 else rowwise.add_unlabeled)(s)
+                rowwise.add([s.id], [s.features], [np.nan if s.label is None else s.label],
+                            ["labeled", "unlabeled"][code], ORIGIN_INGESTED, -1)
         assert rowwise.next_id == pool.next_id == n
         for name, column in vars(pool).items():
             if isinstance(column, np.ndarray):
@@ -442,10 +498,11 @@ class TestPoolAgainstReference:
                 origin = [ORIGIN_INGESTED, ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED][r.integers(3)]
                 iteration = None if r.random() < 0.5 else int(r.integers(0, 5))
                 sample = Sample(sid, r.normal(size=2), label, origin, iteration)
-                getattr(pool, f"add_{op}")(sample)
+                row = ([sid], sample.features[None, :], [np.nan if label is None else label])
+                pool.add(*row, op, origin, -1 if iteration is None else iteration)
                 ref.add(sample, getattr(ref, op))
                 with pytest.raises(ValueError, match="already present"):
-                    pool.add_unlabeled(sample)
+                    pool.add(*row, "unlabeled", origin, -1)
             elif op == "annotate":
                 hidden = sorted(sid for sid, label in ref.hidden.items() if label is not None)
                 if not hidden:
@@ -462,7 +519,15 @@ class TestPoolAgainstReference:
                 k = int(r.integers(0, len(ref.unlabeled) + 1))
                 arrivals = extract_stream_arrivals(pool, k, rng_seed=draw)
                 expected = ref.extract(k, draw)
-                assert [(a.id, a.label) for a in arrivals] == expected
+                assert arrivals == [sid for sid, _, _ in expected]
+                pool.check_invariants()
+                _assert_matches(pool, ref)  # no arrival is a member before admission
+                for sid, row, truth in expected:
+                    pool.admit(sid)
+                    ref.admit(sid, row, truth)
+                    assert pool.has_hidden_label(sid) == (truth is not None)
+                    if truth is not None:  # the truth it carries, read on a copy
+                        assert pool.copy().reveal(sid, 0) == truth
             pool.check_invariants()
             _assert_matches(pool, ref)
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from netactive.acquisition import STRATEGIES, STRATEGY_INPUTS, Budget, CollectPolicy
 from netactive.dataset import (
     ORIGIN_COLLECTED,
+    ORIGIN_INGESTED,
     ORIGIN_SYNTHESIZED,
-    Sample,
     fit_normalizer,
     split_pool,
 )
@@ -191,11 +191,26 @@ class TestOracles:
         assert len(collected) == 3
         assert len(pool.unlabeled) == before + 3
         assert budget.spent == 3 * 0.25
-        for s in collected:
-            assert pool.samples[s.id].label is None  # hidden again
-            assert pool.has_hidden_label(s.id)
-            assert pool.samples[s.id].origin == ORIGIN_COLLECTED
+        for sid in collected:
+            assert pool.samples[sid].label is None  # hidden again
+            assert pool.has_hidden_label(sid)
+            assert pool.samples[sid].origin == ORIGIN_COLLECTED
         pool.check_invariants()
+
+    def test_twin_collect_returns_new_ids_in_order(self):
+        from netactive.acquisition import CollectRegion
+
+        world = small_world()
+        pool = small_pool(world=world)
+        oracle = TwinOracle(pool, Budget(total=10.0), world, rng_seed=5)
+        centroid = pool.normalized_features(sorted(pool.labeled)[:1])[0]
+        first = pool.next_id
+        assert oracle.collect(CollectRegion(centroid, 0.5), 3, iteration=2) == [
+            first, first + 1, first + 2]
+        assert oracle.collect(CollectRegion(centroid, 0.5), 2, iteration=3) == [
+            first + 3, first + 4]
+        assert [pool.samples[sid].iteration_acquired for sid in range(first, first + 5)] == [
+            2, 2, 2, 3, 3]
 
     def test_twin_collect_is_atomic(self, monkeypatch):
         from netactive import loop
@@ -242,7 +257,7 @@ class TestOracles:
         pool = small_pool(world=world)
         budget = Budget(total=10.0, annotation_cost=1.0, collection_cost=0.25)
         oracle = TwinOracle(pool, budget, world, rng_seed=5)
-        sample = oracle.synthesize(pool.samples[0].features, iteration=1)
+        sample = pool.samples[oracle.synthesize(pool.samples[0].features, iteration=1)]
         assert budget.spent == 1.25
         assert sample.origin == ORIGIN_SYNTHESIZED
         assert sample.label is not None
@@ -267,17 +282,28 @@ class TestOracles:
         assert after.keys() == before.keys()
         assert all(np.array_equal(after[k], before[k], equal_nan=True) for k in before)
 
-    def test_twin_synthesize_registers_labeled_sample(self):
+    def test_twin_synthesize_registers_labeled_sample(self, monkeypatch):
+        from netactive import loop
+
         world = small_world()
         pool = small_pool(world=world)
         oracle = TwinOracle(pool, Budget(total=10.0), world, rng_seed=5)
+        observed = []  # the scenario the twin world labeled, and its label
+        real_label = loop.twin_label
+
+        def observed_label(*args):
+            observed.append((args[1].copy(), real_label(*args)))
+            return observed[-1][1]
+
+        monkeypatch.setattr(loop, "twin_label", observed_label)
         sid = pool.next_id
-        sample = oracle.synthesize(pool.samples[0].features, iteration=3)
-        assert sample.id == sid and sid in pool.labeled
+        assert oracle.synthesize(pool.samples[0].features, iteration=3) == sid
+        assert sid in pool.labeled
+        (features, label), = observed
         record = pool.samples[sid]
         assert (record.label, record.origin, record.iteration_acquired) == (
-            sample.label, ORIGIN_SYNTHESIZED, 3)
-        assert np.array_equal(record.features, sample.features)
+            label, ORIGIN_SYNTHESIZED, 3)
+        assert np.array_equal(record.features, features)
         pool.check_invariants()
 
 
@@ -690,9 +716,9 @@ class TestStreamLoop:
     def _run(self, policy, budget_total=1000.0, n_arrivals=120, seed=0, **config_overrides):
         world = small_world()
         pool = small_pool(world=world, seed=seed)
-        arrivals = generate_synthetic_dataset(world, n_arrivals, rng_seed=seed + 1)
-        base = max(pool.samples) + 1
-        arrivals = [Sample(base + i, s.features, s.label) for i, s in enumerate(arrivals)]
+        corpus = generate_synthetic_dataset(world, n_arrivals, rng_seed=seed + 1)
+        arrivals = list(range(pool.next_id, pool.next_id + n_arrivals))
+        pool.add(arrivals, corpus.features, corpus.label, "arriving", ORIGIN_INGESTED, -1)
         oracle = PoolOracle(pool, Budget(total=budget_total))
         config = small_config(mc_passes=8, stream_retrain_every=5, **config_overrides)
         curve, log = run_stream_loop(config, arrivals, pool, oracle, policy, rng_seed=seed)
@@ -747,6 +773,18 @@ class TestStreamLoop:
                 assert d.threshold == float("inf")
             else:
                 assert d.threshold == float(np.quantile(previous, 0.9)), i
+
+    @pytest.mark.parametrize("partition", ["labeled", "unlabeled", "test", "absent", "admitted"])
+    def test_non_arrival_refused_and_named(self, partition):
+        pool = small_pool()
+        oracle = PoolOracle(pool, Budget(total=100.0))
+        arrival = pool.next_id
+        pool.add([arrival], np.zeros((1, N_FEATURES)), [1.0], "arriving", ORIGIN_INGESTED, -1)
+        sid = {"absent": arrival + 1, "admitted": arrival}.get(partition)
+        sid = int(getattr(pool, partition)[0]) if sid is None else sid
+        arrivals = [arrival, sid] if partition == "admitted" else [sid]
+        with pytest.raises(ValueError, match=f"^sample {sid} is not arriving$"):
+            run_stream_loop(small_config(), arrivals, pool, oracle, StreamPolicy(), rng_seed=0)
 
     def test_window_shorter_than_min_history_rejected(self):
         with pytest.raises(ValueError, match=f"at least {STREAM_MIN_HISTORY}"):

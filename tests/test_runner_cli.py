@@ -432,6 +432,14 @@ class TestCli:
             capsys.readouterr().err)
         assert not out.exists()
 
+    def test_empty_list_entry_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, hidden_sizes="16,,16", output_dir=str(out))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key 'hidden_sizes': empty entry in '16,,16'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_short_stream_window_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self._write_config(tmp_path, loop="stream", strategies="uncertainty",
