@@ -8,7 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import run_parts
+# Entries in one of _min_distances' temporaries: a block's (rows, references)
+# estimates, or the (pairs, F) differences of one exact pass.
+DIST_BLOCK_ENTRIES = 2**18
 
 # The AcquisitionInputs arrays each strategy reads; the loops compute no others.
 STRATEGY_INPUTS = {
@@ -162,30 +164,68 @@ def rank_uncertainty(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def _min_distances(points: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to its nearest reference (inf if none).
 
-    The points are split into parts by row (parallel.run_parts).  A row's
-    distance to a reference reduces over that row's features only, in the
-    same order whatever part it is in, so the result does not depend on
-    the number of parts."""
-    points = np.asarray(points, dtype=float)
-    references = np.asarray(references, dtype=float)
-    best = np.full(len(points), np.inf)
-
-    def part(lo: int, hi: int):
-        rows, part_best = points[lo:hi], best[lo:hi]
-        diff, dist = np.empty_like(rows), np.empty(hi - lo)  # the part's temporaries
-
-        def nearest() -> None:
-            for ref in references:
-                np.subtract(rows, ref, out=diff)
-                np.multiply(diff, diff, out=diff)  # bit for bit diff ** 2
-                diff.sum(axis=1, out=dist)
-                np.sqrt(dist, out=dist)
-                np.minimum(part_best, dist, out=part_best)
-
-        return nearest
-
-    run_parts(part, range(len(points) + 1))
+    A pair's distance is sqrt(((x - r)**2).sum()) over its contiguous
+    length-F row, numpy's row sum, and a point's result is the least of
+    those.  A BLAS estimate of every squared distance only picks which
+    pairs are measured: those within a rounding margin of the row's least
+    estimate, which always include a nearest reference.  So the bytes
+    depend neither on the BLAS kernel nor on how rows are blocked.
+    Non-finite points or references raise ValueError."""
+    points = np.ascontiguousarray(points, dtype=float)
+    references = np.ascontiguousarray(references, dtype=float)
+    if not np.isfinite(references).all():
+        raise ValueError("distances need finite points and references")
+    n, dim = points.shape
+    best = np.full(n, np.inf)
+    rows_per_pass = max(1, DIST_BLOCK_ENTRIES // max(1, dim))
+    if len(references) == 1:  # each row's one candidate: no estimate to make
+        for lo in range(0, n, rows_per_pass):
+            best[lo : lo + rows_per_pass] = _exact_distances(
+                points[lo : lo + rows_per_pass] - references[0])
+    elif len(references):
+        # The estimate is |r|^2 - 2 r.x: the squared distance less |x|^2,
+        # which is the same for every reference of a row.  Rounding margin:
+        # with s = |x|^2 + max|r|^2 and u = eps / 2, F-term dot products and
+        # squared norms err by gamma_F times s in any summation order (FMA
+        # or not), and the add by u times at most 2s, so an estimate is off
+        # by at most (2F + 2) u s.  An exact value (F differences, squares
+        # and a sum of non-negative terms) is off the true squared distance
+        # d^2 by at most gamma_(F+2) d^2 <= (2F + 4) u s, as d^2 <= 2s.  If
+        # r* is a nearest reference by exact value and r' has the least
+        # estimate, est(r*) <= est(r') plus two of each error,
+        # (8F + 12) u s = (4F + 6) eps s.  The margin is four times that,
+        # with an absolute term for values that underflow.  If an estimate
+        # overflows, its row's limit is nan or infinite, or the estimate is
+        # nan, and the row keeps every such pair.
+        scaled = -2.0 * references  # exact: a power of two
+        ref_sq = np.einsum("ij,ij->i", references, references)
+        slack = (16 * dim + 64) * np.finfo(float).eps
+        floor = (16 * dim + 64) * np.finfo(float).tiny
+        block = max(1, DIST_BLOCK_ENTRIES // len(references))
+        for lo in range(0, n, block):
+            x = points[lo : lo + block]
+            with np.errstate(over="ignore", invalid="ignore"):
+                est = scaled @ x.T  # (references, rows): a column's least is one pass
+                est += ref_sq[:, np.newaxis]
+                s = np.einsum("ij,ij->i", x, x) + ref_sq.max()
+                limit = est.min(axis=0) + (slack * s + floor)
+                keep = ~(est > limit)  # a nan estimate or limit keeps its pair
+            refs, rows = np.divmod(np.flatnonzero(keep), len(x))
+            for start in range(0, len(rows), rows_per_pass):
+                r, c = rows[start : start + rows_per_pass], refs[start : start + rows_per_pass]
+                np.minimum.at(best, lo + r, _exact_distances(x[r] - references[c]))
+    # a non-finite point has a non-finite distance, so only then are the
+    # points checked (a k-center pick's one-reference call stays this cheap)
+    if not np.isfinite(best).all() and not np.isfinite(points).all():
+        raise ValueError("distances need finite points and references")
     return best
+
+
+def _exact_distances(diff: np.ndarray) -> np.ndarray:
+    """Row norms of a C-contiguous (pairs, F) difference, squared in place."""
+    np.multiply(diff, diff, out=diff)  # bit for bit diff ** 2
+    dist = diff.sum(axis=1)
+    return np.sqrt(dist, out=dist)
 
 
 def select_core_set(

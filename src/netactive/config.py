@@ -294,7 +294,8 @@ def format_config(config: ExperimentConfig) -> str:
 
 
 def load_categorical_map(path: str) -> dict[str, float]:
-    """Read a `name=integer` per-line mapping for one categorical column."""
+    """Read a `name=integer` per-line mapping for one categorical column, each
+    name on one line only."""
     mapping: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -304,6 +305,8 @@ def load_categorical_map(path: str) -> dict[str, float]:
             if "=" not in body:
                 raise ConfigError(f"{path}: line {line_no}: expected 'name=integer'")
             name, raw = (part.strip() for part in body.split("=", 1))
+            if name in mapping:
+                raise ConfigError(f"{path}: line {line_no}: {name!r} is mapped twice")
             try:
                 mapping[name] = float(int(raw))
             except ValueError:

@@ -313,9 +313,11 @@ def load_csv(
             {"mobility_mode": {"walking": 0, "driving": 1}}; each column
             must be in the header.
 
-    Rows with missing (empty) values in any selected column are dropped and
-    counted.  A non-numeric cell in an explicitly requested column, or in
-    the target, raises with the offending row and column named.
+    Rows with missing (empty) values in any selected column, or with fewer
+    cells than the header, are dropped and counted.  A non-numeric cell in
+    an explicitly requested column, or in the target, raises with the
+    offending row and column named; so do a repeated header name and a
+    row with more cells than the header.
     """
     categorical_maps = categorical_maps or {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -326,9 +328,16 @@ def load_csv(
             raise ValueError(f"{path}: empty file, expected a header row") from None
         rows = list(reader)
 
+    col_index = {name: i for i, name in enumerate(header)}  # a repeated name's last column
+    if len(col_index) < len(header):
+        repeated = next(name for i, name in enumerate(header) if col_index[name] != i)
+        raise ValueError(f"{path}: header repeats column {repeated!r}")
+    long = next((i for i, row in enumerate(rows) if len(row) > len(header)), None)
+    if long is not None:
+        raise ValueError(f"{path}: line {long + 2} has {len(rows[long])} cells, "
+                         f"the header {len(header)}")
     if target_column not in header:
         raise ValueError(f"{path}: target column {target_column!r} not in header")
-    col_index = {name: i for i, name in enumerate(header)}
     unmapped = [name for name in categorical_maps if name not in col_index]
     if unmapped:
         raise ValueError(f"{path}: categorical column {unmapped[0]!r} not in header")

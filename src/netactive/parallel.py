@@ -17,9 +17,8 @@ else:  # platforms without CPU affinity
 
 # Fewest rows a part may have.  On fewer, the threads spend their time
 # passing the interpreter lock between small array operations: on a 2-vCPU
-# x86 box, splitting the nearest-labeled distances of 1024 candidates (272
-# references) in two is no faster than one part, and of 128 candidates 2.6
-# times slower.
+# x86 box, splitting a 272-reference distance pass over 1024 rows in two was
+# no faster than one part, and over 128 rows 2.6 times slower.
 PART_ROWS = 1024
 
 

@@ -150,44 +150,78 @@ def blocked_min_distances(points, references):
     return best
 
 
+def adversarial_layouts(rng, n, m, dim, scale):
+    """(name, points, references) of n points and m references in `dim`
+    features, laid out where a distance shortlist could go wrong."""
+    points, references = rng.normal(size=(n, dim)) * scale, rng.normal(size=(m, dim)) * scale
+    picks = rng.integers(0, max(m, 1), size=n)  # a reference per point
+    grid = rng.integers(-3, 4, size=(n + m + 1, dim)) * scale
+    centre, half = grid[-1:], grid[n : n + (m + 1) // 2]
+    yield "gaussian", points, references
+    yield "offset", points + 1e6, references + 1e6
+    if m:
+        yield "near_ties", references[picks] + rng.normal(size=(n, dim)) * 1e-9 * scale, references
+        yield "points_are_references", references[picks], references
+        yield "identical_references", points, np.repeat(references[:1], m, axis=0)
+        # the references come in pairs mirrored about the first point
+        mirrored = np.concatenate([centre + half, centre - half])[:m]
+        yield "mirror_ties", np.concatenate([centre, grid[:n]])[:n], mirrored
+    yield "integer_grid", grid[:n], grid[n : n + m]
+
+
 class TestMinDistances:
     # (candidates, references, features): a block of the blocked formula holds
-    # every reference, several of them (11 and 2), or one at a time.
+    # every reference, several of them (11 and 2), or one at a time; the
+    # kernel's estimate blocks hold every row or a share of them.
     @pytest.mark.parametrize("n,m,dim", [(40, 30, 3), (300, 50, 19), (5000, 40, 19),
-                                         (20_000, 5, 19), (60_000, 3, 19), (1, 7, 1000)])
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+                                         (20_000, 5, 19), (60_000, 3, 19), (1, 7, 1000),
+                                         (0, 272, 19), (1, 0, 40), (3, 1, 1), (5000, 1, 40),
+                                         (5000, 2, 1), (3, 2, 1000), (1000, 272, 19),
+                                         (3, 272, 1000), (1, 272, 40)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e-6, 1e6])
     def test_matches_blocked_formula_bit_for_bit(self, n, m, dim, scale):
         rng = np.random.default_rng(n + m + dim)
-        points, references = rng.normal(size=(n, dim)) * scale, rng.normal(size=(m, dim)) * scale
-        assert np.array_equal(_min_distances(points, references),
-                              blocked_min_distances(points, references))
+        for name, points, references in adversarial_layouts(rng, n, m, dim, scale):
+            assert (_min_distances(points, references).tobytes()
+                    == blocked_min_distances(points, references).tobytes()), name
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5000])
     @pytest.mark.parametrize("m", [0, 272])
     def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, workers, n, m):
-        # parts as short as one row, so the smallest cases are split too
+        # the kernel runs in the calling thread: with parts as short as one
+        # row and up to three workers, no thread starts and the bytes hold
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
         rng = np.random.default_rng(n + m)
         points, references = rng.normal(size=(n, 19)), rng.normal(size=(m, 19))
         monkeypatch.setattr(parallel, "WORKERS", workers)
         monkeypatch.setattr(parallel, "PART_ROWS", 1)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert (_min_distances(points, references).tobytes()
                 == blocked_min_distances(points, references).tobytes())
 
-    def test_fewer_than_two_parts_of_rows_start_no_thread(self, monkeypatch):
-        # the pool loop's few collected candidates are measured in the
-        # calling thread; the patched start shows that 2 * PART_ROWS rows
-        # would start one
-        def no_thread(self):
-            raise AssertionError("a thread was started")
+    def test_overflowing_estimate_keeps_every_reference(self):
+        # |x|^2 overflows for the first and last point, so their estimates
+        # are inf or nan; each still gets its exact nearest distance
+        points = np.array([[1e154] * 19, [1.0] * 19, [-1e154] * 19, [1e200, 0.0] + [0.0] * 17])
+        references = np.array([[1e154] * 19, [0.0] * 19, [-1e154] * 19, [2.0] * 19,
+                               [1e200, 1.0] + [0.0] * 17])
+        with np.errstate(over="ignore"):
+            got = _min_distances(points, references)
+            expected = blocked_min_distances(points, references)
+        assert got.tobytes() == expected.tobytes()
+        assert got.tolist() == [0.0, math.sqrt(19.0), 0.0, 1.0]
 
-        monkeypatch.setattr(parallel, "WORKERS", 3)
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        references = np.ones((272, 19))
-        for n in (0, 8, 2 * parallel.PART_ROWS - 1):
-            assert _min_distances(np.zeros((n, 19)), references).shape == (n,)
-        with pytest.raises(AssertionError, match="a thread was started"):
-            _min_distances(np.zeros((2 * parallel.PART_ROWS, 19)), references)
+    @pytest.mark.parametrize("where, m", [("points", 0), ("points", 1), ("points", 5),
+                                          ("references", 1), ("references", 5)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused(self, where, m, bad):
+        points, references = np.zeros((4, 3)), np.ones((m, 3))
+        (points if where == "points" else references)[-1, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            _min_distances(points, references)
 
     def test_no_references_gives_inf(self):
         assert np.array_equal(_min_distances(np.zeros((3, 2)), np.zeros((0, 2))),

@@ -136,6 +136,13 @@ class TestCategoricalMap:
         with pytest.raises(ConfigError, match="not an integer"):
             load_categorical_map(str(path))
 
+    def test_repeated_name_rejected(self, tmp_path):
+        # the last mapping used to win, so both modes read 1
+        path = tmp_path / "modes.map"
+        path.write_text("walking=0\n# comment\nwalking=1\ndriving=1\n")
+        with pytest.raises(ConfigError, match=r"modes\.map: line 3: 'walking' is mapped twice"):
+            load_categorical_map(str(path))
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "modes.map"
         path.write_text("\n")

@@ -101,6 +101,29 @@ class TestLoadCsv:
         assert len(result.samples) == 2
         assert [s.id for s in result.samples] == [0, 1]  # ids stay sequential
 
+    @pytest.mark.parametrize("header, target", [("a,b,a,tput", "tput"), ("a,tput,b,tput", "tput")])
+    def test_repeated_header_name_rejected(self, tmp_path, header, target):
+        # a repeated name used to read its last column, for a feature or the target
+        path = tmp_path / "toy.csv"
+        path.write_text(f"{header}\n1,2,3,10\n4,5,6,20\n")
+        repeated = "a" if header.startswith("a,b,a") else "tput"
+        with pytest.raises(ValueError, match=rf"toy\.csv: header repeats column '{repeated}'"):
+            load_csv(str(path), target)
+
+    def test_row_longer_than_header_rejected(self, tmp_path):
+        # its extra cells used to be dropped, and the row loaded
+        path = tmp_path / "toy.csv"
+        path.write_text("a,mode,tput\n1,walking,10\n3,walking,30,99\n")
+        with pytest.raises(ValueError, match=r"toy\.csv: line 3 has 4 cells, the header 3"):
+            load_csv(str(path), "tput", categorical_maps={"mode": {"walking": 0}})
+
+    def test_row_shorter_than_header_dropped_and_counted(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("a,b,tput\n1,2,10\n3,4\n5,6,30\n")
+        result = load_csv(str(path), "tput")
+        assert result.rejected_rows == 1
+        assert result.samples.label.tolist() == [10.0, 30.0]
+
     def test_each_cell_parsed_once(self, tmp_path, monkeypatch):
         calls = []
         real = dataset._parse_cell

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from netactive import parallel
-from netactive.acquisition import _min_distances
 from netactive.bayesian import MC_TILE_ROWS, mc_predict
 from netactive.neural import NetworkSpec, init_params
 
@@ -89,19 +88,17 @@ class TestRunParts:
         # eight workers on a short switch interval write disjoint slices of
         # one output: any lost or misplaced write changes the bytes
         rng = np.random.default_rng(3)
-        points, references = rng.normal(size=(5000, 19)), rng.normal(size=(40, 19))
         params = init_params(NetworkSpec([19, 16, 8, 1], dropout_rate=0.2), 2)
         x = rng.normal(size=(9 * MC_TILE_ROWS + 5, 19))
         monkeypatch.setattr(parallel, "WORKERS", 1)
-        expected = _min_distances(points, references), mc_predict(params, x, 20, 7)
+        expected = mc_predict(params, x, 20, 7)
         monkeypatch.setattr(parallel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert _min_distances(points, references).tobytes() == expected[0].tobytes()
                 means, variances = mc_predict(params, x, 20, 7)
-                assert means.tobytes() == expected[1][0].tobytes()
-                assert variances.tobytes() == expected[1][1].tobytes()
+                assert means.tobytes() == expected[0].tobytes()
+                assert variances.tobytes() == expected[1].tobytes()
         finally:
             sys.setswitchinterval(interval)

@@ -499,6 +499,36 @@ class TestCli:
         assert f"error: {data}: categorical column 'nosuch' not in header" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fault", ["repeated_header", "long_row"])
+    def test_malformed_csv_exit_code(self, tmp_path, capsys, fault):
+        data = self._synth_csv(tmp_path)
+        with open(data) as fh:
+            lines = fh.read().splitlines()
+        if fault == "repeated_header":
+            lines[0] = lines[0].replace("pos_y", "pos_x")
+            expected = f"error: {data}: header repeats column 'pos_x'"
+        else:
+            lines[4] += ",99"
+            expected = f"error: {data}: line 5 has 21 cells, the header 20"
+        with open(data, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        cfg = self._write_config(tmp_path, data_source="csv", csv_path=data, seeds="0",
+                                 output_dir=str(tmp_path / "out"))
+        capsys.readouterr()
+        assert main(["run", "--config", cfg]) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_repeated_categorical_name_exit_code(self, tmp_path, capsys):
+        data, modes = self._synth_csv(tmp_path), tmp_path / "modes.map"
+        modes.write_text("walking=0\nwalking=1\ndriving=1\n")
+        cfg = self._write_config(tmp_path, data_source="csv", csv_path=data, seeds="0",
+                                 categorical_column="mode", categorical_map_path=str(modes),
+                                 output_dir=str(tmp_path / "out"))
+        capsys.readouterr()
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {modes}: line 2: 'walking' is mapped twice" in (
+            capsys.readouterr().err)
+
     def test_charge_past_the_tolerance_is_never_planned(self, tmp_path):
         # the old floor rule planned one annotation here that charge refused,
         # and the run exited 2 without a summary
