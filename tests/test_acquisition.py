@@ -214,6 +214,18 @@ class TestMinDistances:
         assert got.tobytes() == expected.tobytes()
         assert got.tolist() == [0.0, math.sqrt(19.0), 0.0, 1.0]
 
+    def test_fewer_than_two_parts_of_rows_start_no_thread(self, monkeypatch):
+        # the pool loop's few collected candidates are measured in the
+        # calling thread, and so are 2 * PART_ROWS rows or more
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(parallel, "WORKERS", 3)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        references = np.ones((272, 19))
+        for n in (0, 8, 2 * parallel.PART_ROWS - 1, 2 * parallel.PART_ROWS):
+            assert _min_distances(np.zeros((n, 19)), references).shape == (n,)
+
     @pytest.mark.parametrize("where, m", [("points", 0), ("points", 1), ("points", 5),
                                           ("references", 1), ("references", 5)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
