@@ -9,8 +9,8 @@ from __future__ import annotations
 import os
 
 # One BLAS thread unless the caller sets another count: a second OpenBLAS
-# thread competes with the row-parallel kernel workers (parallel.py) and with
-# neighbours on a small machine.  Set before the imports below load numpy.
+# thread competes with the MC-scoring tile threads (bayesian.mc_predict) and
+# with neighbours on a small machine.  Set before the imports below load numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

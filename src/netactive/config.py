@@ -199,7 +199,8 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
     for strategy in config.strategy_list():
         if strategy not in STRATEGIES:
             raise ConfigError(
-                f"{source}: unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+                f"{source}: key 'strategies': unknown strategy {strategy!r}; "
+                f"expected one of {STRATEGIES}"
             )
     if not config.strategy_list():
         raise ConfigError(f"{source}: strategies must name at least one strategy")
@@ -227,7 +228,8 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
     except ValueError:
         raise ConfigError(f"{source}: hidden_sizes must be comma-separated integers") from None
     if any(s < 1 for s in sizes):
-        raise ConfigError(f"{source}: hidden sizes must be positive")
+        raise ConfigError(f"{source}: key 'hidden_sizes': hidden sizes must be positive, "
+                          f"got {min(sizes)}")
     # MC-dropout std is exactly 0 without a dropped hidden unit or a second
     # pass, and a ranking by it would fall back to ascending sample ids.
     ranked_by_std = [s for s in config.strategy_list() if "epistemic_std" in STRATEGY_INPUTS[s]]

@@ -313,11 +313,12 @@ def load_csv(
             {"mobility_mode": {"walking": 0, "driving": 1}}; each column
             must be in the header.
 
-    Rows with missing (empty) values in any selected column, or with fewer
-    cells than the header, are dropped and counted.  A non-numeric cell in
-    an explicitly requested column, or in the target, raises with the
-    offending row and column named; so do a repeated header name and a
-    row with more cells than the header.
+    Blank lines are skipped.  Rows with missing (empty) values in any
+    selected column, or with fewer cells than the header, are dropped and
+    counted.  A non-numeric cell in an explicitly requested column, or in
+    the target, raises with the line the row starts on and the column
+    named; so do a repeated header name and a row with more cells than
+    the header.
     """
     categorical_maps = categorical_maps or {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -326,7 +327,14 @@ def load_csv(
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
+        # each record and the physical line it starts on; a blank line is
+        # no record
+        rows, lines, start = [], [], reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
 
     col_index = {name: i for i, name in enumerate(header)}  # a repeated name's last column
     if len(col_index) < len(header):
@@ -334,7 +342,7 @@ def load_csv(
         raise ValueError(f"{path}: header repeats column {repeated!r}")
     long = next((i for i, row in enumerate(rows) if len(row) > len(header)), None)
     if long is not None:
-        raise ValueError(f"{path}: line {long + 2} has {len(rows[long])} cells, "
+        raise ValueError(f"{path}: line {lines[long]} has {len(rows[long])} cells, "
                          f"the header {len(header)}")
     if target_column not in header:
         raise ValueError(f"{path}: target column {target_column!r} not in header")
@@ -365,22 +373,22 @@ def load_csv(
         raise ValueError(f"{path}: no numeric feature columns found")
 
     kept: list[list[float]] = []  # each kept row's features, then its label
-    for row_num, row in enumerate(rows, start=2):  # header is line 1
+    for i, (row, line) in enumerate(zip(rows, lines)):
         values = []
         for name in selected + [target_column]:
-            value = parsed[name][row_num - 2]
+            value = parsed[name][i]
             if value == "":
                 break
             if value is None:
                 raise ValueError(
-                    f"{path}: line {row_num}, column {name!r}: "
+                    f"{path}: line {line}, column {name!r}: "
                     f"cannot parse {row[col_index[name]]!r} as a number (no categorical mapping)"
                 )
             values.append(value)
         else:
             if values[-1] < 0.0:
                 raise ValueError(
-                    f"{path}: line {row_num}, column {target_column!r}: "
+                    f"{path}: line {line}, column {target_column!r}: "
                     f"negative target {values[-1]!r}"
                 )
             kept.append(values)

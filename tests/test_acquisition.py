@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netactive import parallel
+from netactive import bayesian
 from netactive.acquisition import (
     AcquisitionInputs,
     Budget,
@@ -196,8 +196,7 @@ class TestMinDistances:
 
         rng = np.random.default_rng(n + m)
         points, references = rng.normal(size=(n, 19)), rng.normal(size=(m, 19))
-        monkeypatch.setattr(parallel, "WORKERS", workers)
-        monkeypatch.setattr(parallel, "PART_ROWS", 1)
+        monkeypatch.setattr(bayesian, "WORKERS", workers)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert (_min_distances(points, references).tobytes()
                 == blocked_min_distances(points, references).tobytes())
@@ -216,14 +215,14 @@ class TestMinDistances:
 
     def test_fewer_than_two_parts_of_rows_start_no_thread(self, monkeypatch):
         # the pool loop's few collected candidates are measured in the
-        # calling thread, and so are 2 * PART_ROWS rows or more
+        # calling thread, and so are 2048 rows or more
         def no_thread(self):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(parallel, "WORKERS", 3)
+        monkeypatch.setattr(bayesian, "WORKERS", 3)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         references = np.ones((272, 19))
-        for n in (0, 8, 2 * parallel.PART_ROWS - 1, 2 * parallel.PART_ROWS):
+        for n in (0, 8, 2047, 2048):
             assert _min_distances(np.zeros((n, 19)), references).shape == (n,)
 
     @pytest.mark.parametrize("where, m", [("points", 0), ("points", 1), ("points", 5),

@@ -1,11 +1,13 @@
 import itertools
 import re
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from netactive import bayesian, parallel, seeding
+from netactive import bayesian, seeding
 from netactive.acquisition import Budget
 from netactive.bayesian import MC_TILE_ROWS, Committee, mc_predict
 from netactive.dataset import split_pool
@@ -233,14 +235,14 @@ class TestMcPredict:
         assert means.tobytes() == ref_means.tobytes()
         assert variances.tobytes() == ref_vars.tobytes()
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("rows, hidden, passes", TILED_CASES)
     def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, workers, activation, rows,
                                                  hidden, passes):
         # whichever worker scores a tile, its rows keep the bits of the
         # pass-by-pass reference
-        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(bayesian, "WORKERS", workers)
         params = init_params(
             NetworkSpec([3, *hidden, 1], dropout_rate=0.2, activation=activation), 5
         )
@@ -257,7 +259,7 @@ class TestMcPredict:
         def no_thread(self):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(parallel, "WORKERS", 3)
+        monkeypatch.setattr(bayesian, "WORKERS", 3)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
         for rows in (1, 300, 2 * MC_TILE_ROWS - 1):
@@ -275,7 +277,7 @@ class TestMcPredict:
             return real_act(a, kind, out=out)
 
         real_act = bayesian._act
-        monkeypatch.setattr(parallel, "WORKERS", 3)
+        monkeypatch.setattr(bayesian, "WORKERS", 3)
         monkeypatch.setattr(bayesian, "_act", act)
         params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
         x = np.random.default_rng(0).normal(size=(3 * MC_TILE_ROWS, 3))
@@ -296,6 +298,108 @@ class TestMcPredict:
         _, params = two_unit_net()
         with pytest.raises(ValueError):
             mc_predict(params, np.array([[0.0, 0.0]]), n_passes=0, rng_seed=0)
+
+
+def spy_tiles(monkeypatch, on_tile):
+    """Call on_tile(lo) in the thread that scores mc_predict's tile of rows
+    lo:..., before it scores the tile."""
+    class Rows(np.ndarray):
+        def __getitem__(self, key):
+            on_tile(key.start)
+            return self.view(np.ndarray)[key]
+
+    feature_matrix = bayesian._feature_matrix
+    monkeypatch.setattr(bayesian, "_feature_matrix",
+                        lambda spec, x: feature_matrix(spec, x).view(Rows))
+
+
+class TestMcParts:
+    @pytest.mark.parametrize("bounds, workers, expected", [
+        # mc_predict's tiles of a 3750-row matrix: cut by rows, not by tiles
+        ([0, 1024, 2048, 3750], 2, [(0, 2048), (2048, 3750)]),
+        ([0, 1024, 2048, 3750], 3, [(0, 1024), (1024, 2048), (2048, 3750)]),
+        ([0, 1024, 2048, 3750], 4, [(0, 1024), (1024, 2048), (2048, 3750)]),
+        (range(5001), 3, [(0, 1667), (1667, 3333), (3333, 5000)]),
+        (range(4), 3, [(0, 1), (1, 2), (2, 3)]),
+        (range(3), 3, [(0, 1), (1, 2)]),
+        (range(2), 3, [(0, 1)]),
+        (range(5001), 1, [(0, 5000)]),
+        # the battery's unlabeled pool: a tile-count cut would give 1024/2776
+        ([0, 1024, 2048, 3800], 2, [(0, 2048), (2048, 3800)]),
+        ([0, 1024, 2048, 3800], 1, [(0, 3800)]),
+        # pool_large's 54,000 rows in 53 tiles
+        ([*range(0, 52 * 1024 + 1, 1024), 54000], 2, [(0, 26624), (26624, 54000)]),
+        ([*range(0, 52 * 1024 + 1, 1024), 54000], 3,
+         [(0, 18432), (18432, 35840), (35840, 54000)]),
+    ])
+    def test_parts_cover_the_rows_in_balanced_runs(self, bounds, workers, expected):
+        cuts = bayesian._part_cuts(list(bounds), workers)
+        assert list(zip(cuts, cuts[1:])) == expected
+
+    def test_battery_pool_is_cut_by_rows(self, monkeypatch):
+        # the 3800-row pool on two workers: the calling thread scores the
+        # tiles at 0 and 1024, another thread the widest, 2048:3800
+        threads = {}
+        spy_tiles(monkeypatch, lambda lo: threads.setdefault(lo, threading.get_ident()))
+        monkeypatch.setattr(bayesian, "WORKERS", 2)
+        params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
+        mc_predict(params, np.zeros((3800, 3)), n_passes=2, rng_seed=1)
+        assert sorted(threads) == [0, 1024, 2048]
+        assert threads[0] == threads[1024] == threading.get_ident() != threads[2048]
+
+    @pytest.mark.parametrize("failing", [1, 2, 0])
+    def test_failing_part_is_reraised_after_every_part_ends(self, monkeypatch, failing):
+        # three tiles on three workers: one part per tile, part 0 in the
+        # calling thread; the failing part fails at once, the others later
+        ended = []
+
+        def on_tile(lo):
+            if lo // MC_TILE_ROWS == failing:
+                raise ValueError(f"part {failing} failed")
+            time.sleep(0.05)
+            ended.append(lo // MC_TILE_ROWS)
+
+        monkeypatch.setattr(bayesian, "WORKERS", 3)
+        spy_tiles(monkeypatch, on_tile)
+        params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
+        with pytest.raises(ValueError, match=f"part {failing} failed"):
+            mc_predict(params, np.zeros((3 * MC_TILE_ROWS, 3)), n_passes=2, rng_seed=1)
+        assert sorted(ended) == sorted({0, 1, 2} - {failing})
+
+    def test_first_failure_in_row_order_wins(self, monkeypatch):
+        # the later a part's rows, the sooner it fails
+        def on_tile(lo):
+            part = lo // MC_TILE_ROWS
+            if part in failing:
+                time.sleep(0.02 * (2 - part))
+                raise ValueError(f"part {part} failed")
+
+        monkeypatch.setattr(bayesian, "WORKERS", 3)
+        spy_tiles(monkeypatch, on_tile)
+        params = init_params(NetworkSpec([3, 8, 1], dropout_rate=0.3), 4)
+        x = np.zeros((3 * MC_TILE_ROWS, 3))
+        for failing, first in (({0, 1, 2}, 0), ({1, 2}, 1)):
+            with pytest.raises(ValueError, match=f"part {first} failed"):
+                mc_predict(params, x, n_passes=2, rng_seed=1)
+
+    def test_more_threads_than_cores_keep_every_row(self, monkeypatch):
+        # eight workers on a short switch interval write disjoint slices of
+        # one output: any lost or misplaced write changes the bytes
+        rng = np.random.default_rng(3)
+        params = init_params(NetworkSpec([19, 16, 8, 1], dropout_rate=0.2), 2)
+        x = rng.normal(size=(9 * MC_TILE_ROWS + 5, 19))
+        monkeypatch.setattr(bayesian, "WORKERS", 1)
+        expected = mc_predict(params, x, 20, 7)
+        monkeypatch.setattr(bayesian, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                means, variances = mc_predict(params, x, 20, 7)
+                assert means.tobytes() == expected[0].tobytes()
+                assert variances.tobytes() == expected[1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEstimateAleatoric:

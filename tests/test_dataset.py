@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,27 @@ class TestLoadCsv:
         result = load_csv(str(path), "tput")
         assert result.rejected_rows == 1
         assert result.samples.label.tolist() == [10.0, 30.0]
+
+    def test_blank_lines_skipped_not_counted(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("a,b,tput\n1,2,10\n\n3,4,20\n\n")
+        result = load_csv(str(path), "tput")
+        assert result.rejected_rows == 0
+        assert result.samples.label.tolist() == [10.0, 20.0]
+        assert result.samples.id.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,10\n\n\n1,oops,20", "line 5, column 'b': cannot parse 'oops'"),
+        ("1,2,10\n\n\n1,2,-20", "line 5, column 'tput': negative target"),
+        ("1,2,10\n\n\n1,2,20,9", "line 5 has 4 cells, the header 3"),
+        # quoted cells span lines: the bad record takes lines 5 and 6
+        ('1,2,10\n"3\n",4,20\n1,"o\nops",30', "line 5, column 'b': cannot parse"),
+    ])
+    def test_error_after_blank_line_names_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "toy.csv"
+        path.write_text(f"a,b,tput\n{text}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(str(path), "tput", feature_columns=["a", "b"])
 
     def test_each_cell_parsed_once(self, tmp_path, monkeypatch):
         calls = []

@@ -440,6 +440,17 @@ class TestCli:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden_sizes", "64,0", "hidden sizes must be positive, got 0"),
+        ("strategies", "uncertainty,bogus", "unknown strategy 'bogus'"),
+    ])
+    def test_bad_list_entry_names_key(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, output_dir=str(out), **{key: value})
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error: {cfg}: key '{key}': {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_short_stream_window_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self._write_config(tmp_path, loop="stream", strategies="uncertainty",
