@@ -195,7 +195,8 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
             raise ConfigError(f"{source}: key {key!r}: empty entry in {getattr(config, key)!r}")
     for key, choices in _CHOICES.items():
         if getattr(config, key) not in choices:
-            raise ConfigError(f"{source}: key {key!r} must be one of {choices}")
+            raise ConfigError(f"{source}: key {key!r}: must be one of {choices}, "
+                              f"got {getattr(config, key)!r}")
     for strategy in config.strategy_list():
         if strategy not in STRATEGIES:
             raise ConfigError(
@@ -203,30 +204,32 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
                 f"expected one of {STRATEGIES}"
             )
     if not config.strategy_list():
-        raise ConfigError(f"{source}: strategies must name at least one strategy")
+        raise ConfigError(f"{source}: key 'strategies': must name at least one strategy")
     if config.loop != "pool" and config.strategy_list() != ["uncertainty"]:
-        raise ConfigError(f"{source}: the {config.loop} loop scores by epistemic uncertainty "
-                          "only; set strategies = uncertainty")
+        raise ConfigError(f"{source}: key 'strategies': the {config.loop} loop scores by "
+                          "epistemic uncertainty only; set strategies = uncertainty")
     try:
         seeds = config.seed_list()
     except ValueError:
-        raise ConfigError(f"{source}: seeds must be comma-separated integers") from None
+        raise ConfigError(f"{source}: key 'seeds': master seeds must be comma-separated "
+                          f"integers, got {config.seeds!r}") from None
     if not seeds:
-        raise ConfigError(f"{source}: seeds must name at least one master seed")
+        raise ConfigError(f"{source}: key 'seeds': must name at least one master seed")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"{source}: key 'seeds': master seeds must be non-negative, "
                           f"got {min(seeds)}")
     if not config.feature_column_list():
-        raise ConfigError(f"{source}: key 'feature_columns' must be auto or name a column")
+        raise ConfigError(f"{source}: key 'feature_columns': must be auto or name a column")
     for key, items in (("strategies", config.strategy_list()), ("seeds", seeds),
                        ("feature_columns", config.feature_column_list())):
         repeated = [item for k, item in enumerate(items) if item in items[:k]]
         if repeated:
-            raise ConfigError(f"{source}: {key} names {repeated[0]!r} more than once")
+            raise ConfigError(f"{source}: key {key!r}: names {repeated[0]!r} more than once")
     try:
         sizes = config.hidden_size_list()
     except ValueError:
-        raise ConfigError(f"{source}: hidden_sizes must be comma-separated integers") from None
+        raise ConfigError(f"{source}: key 'hidden_sizes': hidden sizes must be comma-separated "
+                          f"integers, got {config.hidden_sizes!r}") from None
     if any(s < 1 for s in sizes):
         raise ConfigError(f"{source}: key 'hidden_sizes': hidden sizes must be positive, "
                           f"got {min(sizes)}")
@@ -241,19 +244,17 @@ def validate_config(config: ExperimentConfig, source: str = "<config>") -> None:
                               f"by MC-dropout std, which needs {needs}")
     if config.data_source == "csv":
         if not config.csv_path:
-            raise ConfigError(f"{source}: data_source=csv requires csv_path")
+            raise ConfigError(f"{source}: key 'csv_path': data_source = csv needs a CSV path")
         if not os.path.exists(config.csv_path):
-            raise ConfigError(f"{source}: csv_path {config.csv_path!r} does not exist")
+            raise ConfigError(f"{source}: key 'csv_path': {config.csv_path!r} does not exist")
         if config.collect_enabled:
-            raise ConfigError(
-                f"{source}: collection needs a twin world; disable collect_enabled for csv data"
-            )
+            raise ConfigError(f"{source}: key 'collect_enabled': collection needs a twin world; "
+                              "disable it for csv data")
     if config.categorical_map_path and not os.path.exists(config.categorical_map_path):
-        raise ConfigError(
-            f"{source}: categorical_map_path {config.categorical_map_path!r} does not exist"
-        )
+        raise ConfigError(f"{source}: key 'categorical_map_path': "
+                          f"{config.categorical_map_path!r} does not exist")
     if config.categorical_column and not config.categorical_map_path:
-        raise ConfigError(f"{source}: categorical_column requires categorical_map_path")
+        raise ConfigError(f"{source}: key 'categorical_column': needs categorical_map_path")
     for key in ("target_column", "feature_columns", "categorical_column", "categorical_map_path"):
         if config.data_source != "csv" and getattr(config, key) != getattr(ExperimentConfig, key):
             raise ConfigError(f"{source}: key {key!r}: only csv data reads it; "

@@ -160,13 +160,21 @@ class DataPool:
     def n_features(self) -> int:
         return self._features.shape[1]
 
-    def feature_matrix(self, ids: Sequence[int]) -> np.ndarray:
-        """Raw feature rows for `ids`, preserving the given order."""
+    def _members(self, ids: Sequence[int]) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
         absent = ids[self._part[ids] <= _ABSENT]
         if len(absent):
             raise KeyError(f"no sample with id {absent[0]}")
-        return self._features[ids]
+        return ids
+
+    def feature_matrix(self, ids: Sequence[int]) -> np.ndarray:
+        """Raw feature rows for `ids`, preserving the given order."""
+        return self._features[self._members(ids)]
+
+    def acquisitions(self, ids: Sequence[int]) -> tuple[np.ndarray, list[str]]:
+        """The acquisition iteration (-1 for none) and origin name of each of `ids`."""
+        ids = self._members(ids)
+        return self._iteration[ids], [ORIGINS[code] for code in self._origin[ids].tolist()]
 
     def normalized_features(self, ids: Sequence[int]) -> np.ndarray:
         if self.normalizer is None:

@@ -190,7 +190,8 @@ def extract_stream_arrivals(pool: DataPool, n: int, rng_seed: int) -> list[int]:
     for more arrivals than the pool holds raises ValueError."""
     ids = pool.unlabeled
     if n > len(ids):
-        raise ValueError(f"{n} stream arrivals requested; the pool holds only {len(ids)} unlabeled")
+        raise ValueError(f"key 'stream_arrivals': {n} stream arrivals requested; "
+                         f"the pool holds only {len(ids)} unlabeled")
     arrivals = ids[np.random.default_rng(rng_seed).permutation(len(ids))[:n]]
     pool.queue_arrivals(arrivals)
     return arrivals.tolist()
@@ -218,13 +219,15 @@ def write_annotations(result: RunResult, path: str) -> None:
     pool = result.pool
     n_feat = pool.n_features
     header = ["iteration_acquired", "sample_id", "origin"] + [f"f{i}" for i in range(n_feat)]
-    records = [pool.samples[sid] for sid in pool.labeled]  # ascending ids
-    iterations = [s.iteration_acquired or 0 for s in records]  # none counts as the seed's 0
+    ids = pool.labeled  # ascending
+    iterations, origins = pool.acquisitions(ids)
+    iterations = np.maximum(iterations, 0)  # none counts as the seed's 0
+    features = pool.feature_matrix(ids).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in np.argsort(iterations, kind="stable"):  # by iteration, then by id
-            feats = ",".join(f"{v:.9g}" for v in records[i].features)
-            fh.write(f"{iterations[i]},{records[i].id},{records[i].origin},{feats}\n")
+        for i in np.argsort(iterations, kind="stable").tolist():  # by iteration, then by id
+            feats = ",".join(f"{v:.9g}" for v in features[i])
+            fh.write(f"{iterations[i]},{ids[i]},{origins[i]},{feats}\n")
 
 
 def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> dict:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import seeding
 from .dataset import new_corpus
 
 VARIANCE_FLOOR = 1e-6
@@ -300,11 +301,12 @@ def _mode_terms(world: TwinWorld, mode: np.ndarray) -> tuple[np.ndarray, np.ndar
     return factor, weight
 
 
-def _label_noise(world: TwinWorld, noise_seed: int) -> float:
-    """The Gaussian label noise that `noise_seed` draws (0.0 in a noise-free world)."""
+def _label_noise(world: TwinWorld, noise_seeds) -> np.ndarray:
+    """The Gaussian label noise each of `noise_seeds` draws: default_rng(seed).normal(0,
+    noise_std), computed for all seeds in one batch (zeros in a noise-free world)."""
     if world.noise_std > 0.0:
-        return np.random.default_rng(noise_seed).normal(0.0, world.noise_std)
-    return 0.0
+        return seeding.seeded_normals(noise_seeds, world.noise_std)
+    return np.zeros(len(noise_seeds))
 
 
 def _throughput(world: TwinWorld, features: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -351,7 +353,7 @@ def twin_label(world: TwinWorld, features: np.ndarray, noise_seed: int) -> float
     f = np.asarray(features, dtype=float)
     if f.shape[0] < 5:
         raise ValueError("feature vector too short for the synthetic schema")
-    return float(_throughput(world, f[None, :], np.array([_label_noise(world, noise_seed)]))[0])
+    return float(_throughput(world, f[None, :], _label_noise(world, [noise_seed]))[0])
 
 
 def _loop_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,18 +401,19 @@ GENERATOR_BLOCK_ROWS = 4096
 def _draw_block(world: TwinWorld, rng: np.random.Generator, n: int):
     """Feature rows and labels of the next n samples of `rng`'s corpus.
 
-    Each sample's random draws are made in one fixed order before any
-    math; then every row is computed in batch."""
+    Each sample's random draws, its label-noise seed last, are made in one
+    fixed order before any math; then every row, and every seed's noise, is
+    computed in batch."""
     uniform = np.empty((n, 2))  # perimeter position, mode
     jitter = np.empty((n, 2))
     z = np.empty((n, 10))  # speed, trajectory, compass, then the 7 observation normals
-    noise = np.empty(n)
+    noise_seeds = np.empty(n, dtype=np.int64)
     for i in range(n):
         uniform[i, 0] = rng.random()
         rng.standard_normal(out=jitter[i])
         uniform[i, 1] = rng.random()
         rng.standard_normal(out=z[i])
-        noise[i] = _label_noise(world, int(rng.integers(0, 2**31)))
+        noise_seeds[i] = rng.integers(0, 2**31)
 
     # rng.uniform(low, high) is low + (high - low) * rng.random()
     bx, by, tangent = _loop_points(0.0 + LOOP_PERIMETER * uniform[:, 0])
@@ -423,7 +426,7 @@ def _draw_block(world: TwinWorld, rng: np.random.Generator, n: int):
     core[:, 5] = (tangent + (0.0 + 10.0 * z[:, 1])) % 360.0
     core[:, 4] = (core[:, 5] + (0.0 + 25.0 * z[:, 2])) % 360.0
     features = _observe(world, core, z[:, 3:])
-    return features, _throughput(world, features, noise)
+    return features, _throughput(world, features, _label_noise(world, noise_seeds))
 
 
 def generate_synthetic_dataset(world: TwinWorld, n: int, rng_seed: int) -> np.recarray:

@@ -87,8 +87,9 @@ class TestParseConfig:
         assert parse_config(write(tmp_path, f"loop = {loop}\nstrategies = uncertainty\n"))
 
     @pytest.mark.parametrize("text, repeat", [
-        ("seeds = 0,1,0\n", "seeds names 0 more than once"),
-        ("strategies = random,uncertainty,random\n", "strategies names 'random' more than once"),
+        ("seeds = 0,1,0\n", "key 'seeds': names 0 more than once"),
+        ("strategies = random,uncertainty,random\n",
+         "key 'strategies': names 'random' more than once"),
     ], ids=["seed", "strategy"])
     def test_repeated_seed_or_strategy_rejected(self, tmp_path, text, repeat):
         with pytest.raises(ConfigError, match=repeat):
@@ -214,12 +215,12 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("columns", ["", ",", " , "])
     def test_empty_feature_columns_rejected(self, columns):
-        with pytest.raises(ConfigError, match="<config>: key 'feature_columns' must be auto"):
+        with pytest.raises(ConfigError, match="<config>: key 'feature_columns': must be auto"):
             validate_config(ExperimentConfig(feature_columns=columns))
 
     @pytest.mark.parametrize("columns", ["pos_x,pos_x", "a,b, a", "auto,auto"])
     def test_repeated_feature_column_rejected(self, columns):
-        with pytest.raises(ConfigError, match="<config>: feature_columns names '.*' more than"):
+        with pytest.raises(ConfigError, match="<config>: key 'feature_columns': names '.*' more"):
             validate_config(ExperimentConfig(feature_columns=columns))
 
     @pytest.mark.parametrize("name", [

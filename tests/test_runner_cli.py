@@ -451,6 +451,47 @@ class TestCli:
         assert f"config error: {cfg}: key '{key}': {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("seeds", dict(seeds="1.5")),
+        ("seeds", dict(seeds=",")),
+        ("seeds", dict(seeds="0,1,0")),
+        ("strategies", dict(strategies=",")),
+        ("strategies", dict(strategies="random,random")),
+        ("strategies", dict(loop="stream", strategies="random")),
+        ("hidden_sizes", dict(hidden_sizes="16,x")),
+        ("loop", dict(loop="batch")),
+        ("activation", dict(activation="gelu")),
+        ("feature_columns", dict(feature_columns=",")),
+        ("feature_columns", dict(feature_columns="pos_x,pos_x")),
+        ("csv_path", dict(data_source="csv")),
+        ("csv_path", dict(data_source="csv", csv_path="{missing}")),
+        ("collect_enabled", dict(data_source="csv", csv_path=__file__, collect_enabled=True)),
+        ("categorical_map_path", dict(categorical_map_path="{missing}")),
+        ("categorical_column", dict(categorical_column="mode")),
+    ], ids=["seeds-float", "seeds-none", "seeds-repeated", "strategies-none",
+            "strategies-repeated", "strategies-stream", "hidden_sizes-word", "loop-choice",
+            "activation-choice", "feature_columns-none", "feature_columns-repeated",
+            "csv_path-unset", "csv_path-missing", "collect_enabled-csv",
+            "categorical_map_path-missing", "categorical_column-no_map"])
+    def test_config_error_names_key(self, tmp_path, capsys, key, overrides):
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        overrides = {k: v.format(missing=missing) if isinstance(v, str) else v
+                     for k, v in overrides.items()}
+        cfg = self._write_config(tmp_path, output_dir=str(out), **overrides)
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: key '{key}': ")
+        assert not out.exists()
+
+    def test_stream_arrivals_beyond_pool_names_key(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, loop="stream", strategies="uncertainty", seeds="0",
+                                 stream_window=20, stream_arrivals=100000,
+                                 output_dir=str(tmp_path / "out"))
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: key 'stream_arrivals': 100000 stream arrivals requested; "
+            "the pool holds only 154 unlabeled\n")
+
     def test_short_stream_window_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self._write_config(tmp_path, loop="stream", strategies="uncertainty",

@@ -174,6 +174,42 @@ class TestTwinLabel:
         assert twin_label(world, f, 0) == 0.0
 
 
+class TestLabelNoise:
+    def test_batch_equals_one_generator_per_seed(self):
+        world = TwinWorld(noise_std=50.0)
+        seeds = [0, 7, 2**31 - 1, 12345]
+        expected = [np.random.default_rng(s).normal(0.0, 50.0) for s in seeds]
+        assert synth._label_noise(world, seeds).tolist() == expected
+
+    def test_noise_free_world_draws_nothing(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a noise-free world built a generator")
+
+        for name in ("default_rng", "PCG64", "Generator", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, no_generator)
+        noise = synth._label_noise(TwinWorld(noise_std=0.0), [3, 1, 4])
+        assert noise.tolist() == [0.0, 0.0, 0.0]
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            twin_label(TwinWorld(noise_std=50.0), np.zeros(N_FEATURES), -1)
+
+    def test_corpus_builds_one_generator(self, monkeypatch):
+        # the corpus stream is the only default_rng: a per-sample label-noise
+        # generator would make 301 calls here
+        calls = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        corpus = generate_synthetic_dataset(TwinWorld(), 300, rng_seed=5)
+        assert calls == [(5,)]
+        assert np.isfinite(corpus.label).all()
+
+
 class TestGenerateSyntheticDataset:
     def test_schema_contract(self):
         world = TwinWorld()
