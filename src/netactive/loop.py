@@ -27,7 +27,7 @@ from .acquisition import (
 from .bayesian import Committee, mc_predict
 from .dataset import ORIGIN_COLLECTED, ORIGIN_SYNTHESIZED, DataPool, fit_normalizer
 from .neural import NetworkParams, NetworkSpec, init_params, predict, train
-from .synth import TwinWorld, fit_gmm, realize_scenario, sample_gmm, twin_label
+from .synth import TwinWorld, fit_gmm, realize_scenario, sample_gmm, twin_label, twin_labels
 
 STREAM_MIN_HISTORY = 10  # arrivals observed before the rolling threshold is trusted
 
@@ -205,16 +205,19 @@ class TwinOracle(PoolOracle):
 
         Points are drawn uniformly in the normalized-space ball, mapped back
         to raw features, snapped onto the valid schema and registered in one
-        block, their ground truth hidden.  Charges count * collection_cost
-        once, after every sample is labeled, so a twin-world failure or an
-        unaffordable charge leaves budget and pool untouched."""
+        block, their ground truth hidden.  Each sample's draws come in a
+        fixed order (direction, radius, its scenario's observation noise,
+        its label-noise seed), and the block is labeled in one batch.
+        Charges count * collection_cost once, after every sample is labeled,
+        so a twin-world failure or an unaffordable charge leaves budget and
+        pool untouched."""
         if count < 1:
             return []
         if self.pool.normalizer is None:
             raise OracleError("collection requires a fitted normalizer on the pool")
         rng = self._next_rng()
         dim = region.centroid.shape[0]
-        rows, labels = [], []
+        rows, noise_seeds = [], []
         for _ in range(count):
             direction = rng.standard_normal(dim)
             norm = np.linalg.norm(direction)
@@ -222,7 +225,9 @@ class TwinOracle(PoolOracle):
             offset = direction * region.radius * rng.random() ** (1.0 / dim)
             raw = self.pool.normalizer.denormalize(region.centroid + offset)
             rows.append(realize_scenario(self.world, raw, rng))
-            labels.append(twin_label(self.world, rows[-1], int(rng.integers(0, 2**31))))
+            noise_seeds.append(int(rng.integers(0, 2**31)))
+        rows = np.array(rows)
+        labels = twin_labels(self.world, rows, noise_seeds)  # the block at once, in draw order
         self.budget.charge(count * self.budget.collection_cost)
         ids = list(range(self.pool.next_id, self.pool.next_id + count))
         self.pool.add(ids, rows, labels, "unlabeled", ORIGIN_COLLECTED, iteration)
@@ -351,7 +356,7 @@ class _LoopState:
         residuals = self.predict_mbps(self.x_test) - self.y_test
         return float(np.sqrt(np.mean(residuals * residuals)))
 
-    def epistemic_std_mbps(self, x: np.ndarray, seed: int) -> np.ndarray:
+    def epistemic_std_mbps(self, x: np.ndarray, seed: int | np.random.Generator) -> np.ndarray:
         _, epi_var = mc_predict(self.params, x, self.config.mc_passes, seed)
         return np.sqrt(epi_var) * self.label_std
 
@@ -380,12 +385,12 @@ class _LoopState:
         fork.fit_committee(0, fork.config.initial_epochs)
         return fork
 
-    def score_arrival(self, sample_id: int, index: int) -> float:
-        """Admit stream arrival `index` into the unlabeled partition, its label
-        hidden, and return its epistemic standard deviation (Mbps)."""
+    def score_arrival(self, sample_id: int, rng: np.random.Generator) -> float:
+        """Admit a stream arrival into the unlabeled partition, its label
+        hidden, and return its epistemic standard deviation (Mbps), scored
+        with dropout masks drawn from `rng`."""
         self.pool.admit(sample_id)
-        seed = seeding.derive_seed(self.master_seed, index, seeding.STREAM_SCORE)
-        return float(self.epistemic_std_mbps(self.pool.normalized_features([sample_id]), seed)[0])
+        return float(self.epistemic_std_mbps(self.pool.normalized_features([sample_id]), rng)[0])
 
     def score_unlabeled(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ascending unlabeled ids, their normalized features and their
@@ -569,6 +574,9 @@ def run_stream_loop(
     unlabeled, and queried when its epistemic std exceeds the rolling quantile
     of the last `window` arrival scores, budget remains and the query cap is
     not hit.  The model fine-tunes every config.stream_retrain_every queries.
+    Arrival `index` draws its dropout masks from
+    default_rng(derive_seed(rng_seed, index, STREAM_SCORE)), whose states
+    are derived in blocks on one reused generator (seeding.derived_generators).
     Returns the learning curve plus the full per-arrival decision log."""
     if config.strategy != "uncertainty":  # it ranks by MC-dropout; a committee goes unread
         raise ValueError("the stream loop scores by epistemic uncertainty only, "
@@ -585,8 +593,10 @@ def run_stream_loop(
     log: list[StreamDecision] = []
     queries = 0
     pending = 0
-    for index, sample_id in enumerate(arrivals):
-        score = state.score_arrival(sample_id, index)
+    # zip takes the next arrival first, so the generators stop with the arrivals
+    scorers = zip(enumerate(arrivals), seeding.derived_generators(rng_seed, seeding.STREAM_SCORE))
+    for (index, sample_id), rng in scorers:
+        score = state.score_arrival(sample_id, rng)
         if len(window.recent) >= STREAM_MIN_HISTORY:
             threshold = window.quantile(policy.uncertainty_threshold_quantile)
         else:

@@ -154,10 +154,17 @@ def init_params(spec: NetworkSpec, rng_seed: int) -> NetworkParams:
 def draw_dropout_masks(
     spec: NetworkSpec, rng: np.random.Generator, batch: int
 ) -> list[np.ndarray]:
-    """Sample a {0,1} keep-mask per example for each hidden layer, (batch, h)."""
-    return [
-        (rng.random((batch, h)) < spec.keep_prob).astype(float) for h in spec.hidden_sizes
-    ]
+    """Sample a {0,1} keep-mask per example for each hidden layer, (batch, h).
+
+    One draw serves every layer, layer after layer: the same doubles as one
+    rng.random((batch, h)) per layer, and each mask is a view into it."""
+    keep = rng.random(batch * sum(spec.hidden_sizes))
+    np.less(keep, spec.keep_prob, out=keep)
+    masks, offset = [], 0
+    for h in spec.hidden_sizes:
+        masks.append(keep[offset : offset + batch * h].reshape(batch, h))
+        offset += batch * h
+    return masks
 
 
 def _feature_matrix(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import seeding
 from .acquisition import Budget, CollectPolicy
-from .config import ExperimentConfig, format_config, load_categorical_map
+from .config import ConfigError, ExperimentConfig, format_config, load_categorical_map
 from .dataset import DataPool, fit_normalizer, load_csv, split_pool
 from .loop import (
     LearningCurve,
@@ -187,11 +187,11 @@ def extract_stream_arrivals(pool: DataPool, n: int, rng_seed: int) -> list[int]:
     """The ids of n seeded-shuffled unlabeled samples, in arrival order: they
     wait in the pool as arrivals, truth hidden, until the stream loop admits
     each one, and the leftovers drop out of the experiment entirely.  Asking
-    for more arrivals than the pool holds raises ValueError."""
+    for more arrivals than the pool holds raises ConfigError."""
     ids = pool.unlabeled
     if n > len(ids):
-        raise ValueError(f"key 'stream_arrivals': {n} stream arrivals requested; "
-                         f"the pool holds only {len(ids)} unlabeled")
+        raise ConfigError(f"key 'stream_arrivals': {n} stream arrivals requested; "
+                          f"the pool holds only {len(ids)} unlabeled")
     arrivals = ids[np.random.default_rng(rng_seed).permutation(len(ids))[:n]]
     pool.queue_arrivals(arrivals)
     return arrivals.tolist()

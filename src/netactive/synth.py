@@ -346,6 +346,13 @@ def _throughput(world: TwinWorld, features: np.ndarray, noise: np.ndarray) -> np
     return np.where(rate < 0.0, 0.0, rate)
 
 
+def twin_labels(world: TwinWorld, features: np.ndarray, noise_seeds) -> np.ndarray:
+    """Ground-truth throughput of each (n, F) feature row with its noise seed
+    (Mbps, clamped at 0), in one batch; row k equals
+    twin_label(world, features[k], noise_seeds[k]) bit for bit."""
+    return _throughput(world, features, _label_noise(world, noise_seeds))
+
+
 def twin_label(world: TwinWorld, features: np.ndarray, noise_seed: int) -> float:
     """Ground-truth throughput for a feature vector (Mbps, clamped at 0).
 
@@ -353,7 +360,7 @@ def twin_label(world: TwinWorld, features: np.ndarray, noise_seed: int) -> float
     f = np.asarray(features, dtype=float)
     if f.shape[0] < 5:
         raise ValueError("feature vector too short for the synthetic schema")
-    return float(_throughput(world, f[None, :], _label_noise(world, [noise_seed]))[0])
+    return float(twin_labels(world, f[None, :], [noise_seed])[0])
 
 
 def _loop_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,7 +433,7 @@ def _draw_block(world: TwinWorld, rng: np.random.Generator, n: int):
     core[:, 5] = (tangent + (0.0 + 10.0 * z[:, 1])) % 360.0
     core[:, 4] = (core[:, 5] + (0.0 + 25.0 * z[:, 2])) % 360.0
     features = _observe(world, core, z[:, 3:])
-    return features, _throughput(world, features, _label_noise(world, noise_seeds))
+    return features, twin_labels(world, features, noise_seeds)
 
 
 def generate_synthetic_dataset(world: TwinWorld, n: int, rng_seed: int) -> np.recarray:

@@ -284,6 +284,21 @@ class TestMcPredict:
         with pytest.raises(FloatingPointError, match="worker failed"):
             mc_predict(params, x, n_passes=5, rng_seed=1)
 
+    @pytest.mark.parametrize("rows", [1, 5, 300, 2 * MC_TILE_ROWS + 7])
+    def test_generator_scores_as_its_seed(self, rows):
+        # one tile up to 2 * MC_TILE_ROWS - 1 rows, several from there on;
+        # the generator is used as it stands and left after the masks' draw
+        params = init_params(NetworkSpec([19, 16, 8, 1], dropout_rate=0.2), 2)
+        x = np.random.default_rng(rows).normal(size=(rows, 19))
+        rng = np.random.default_rng(41)
+        means, variances = mc_predict(params, x, 25, rng)
+        ref_means, ref_vars = mc_predict(params, x, 25, 41)
+        assert means.tobytes() == ref_means.tobytes()
+        assert variances.tobytes() == ref_vars.tobytes()
+        after_masks = np.random.default_rng(41)
+        draw_dropout_masks(params.spec, after_masks, 25)
+        assert rng.random() == after_masks.random()
+
     def test_empty_matrix_gives_empty_arrays(self):
         _, params = two_unit_net()
         means, variances = mc_predict(params, np.zeros((0, 2)), n_passes=10, rng_seed=0)

@@ -3,7 +3,9 @@ synthetic configs, of short coreset, hybrid and qbc runs of the benchmark
 config, of a short qbc run with cold restarts, of a short hybrid run with
 collection on (once with the default infinite budget, once under a finite
 budget that binds), and of a short synthesis run fed from a CSV, must hash
-to the values recorded in CHANGES.md.
+to the values recorded in CHANGES.md.  So must the seed-0 decision log of
+the shipped stream config, which no artifact holds: a last-bit change in an
+arrival's score that flips no decision leaves every artifact as it was.
 
 Performance work on the kernels promises bit-for-bit identical results; this
 test checks that promise end to end through the CLI.  The hashes depend on
@@ -115,6 +117,29 @@ SYNTH_CSV = {
         "dfa4710751c5a849be9a3ae14b8c5966ce3150d3b3bda075a45badfa5158974f",
 }
 
+# sha256 of the seed-0 run_stream_loop decision log of the shipped
+# synthetic_stream.cfg, one "index,repr(score),repr(threshold),queried" line
+# per arrival
+STREAM_DECISION_LOG = "92b48f5409089dd6f06bd93fff8f71adf86118470be19e430e01622cb99c5fe2"
+DECISION_LOG_SCRIPT = """
+import hashlib
+from netactive import runner, seeding
+from netactive.config import parse_config
+from netactive.loop import StreamPolicy, run_stream_loop
+
+config = parse_config("configs/synthetic_stream.cfg")
+corpus, world = runner.load_corpus(config)
+pool = runner.split_pool(corpus, config.test_fraction, config.seed_labeled_fraction, rng_seed=0)
+pool.normalizer = runner.fit_normalizer(pool)
+arrivals = runner.extract_stream_arrivals(
+    pool, config.stream_arrivals, seeding.derive_seed(0, seeding.STREAM_ARRIVALS))
+policy = StreamPolicy(config.stream_quantile, config.stream_window, config.stream_max_queries)
+_, log = run_stream_loop(runner.make_loop_config(config, "uncertainty", pool.n_features),
+                         arrivals, pool, runner.make_oracle(config, world, pool, 0), policy, 0)
+lines = "".join(f"{d.arrival_index},{d.score!r},{d.threshold!r},{d.queried}\\n" for d in log)
+print(hashlib.sha256(lines.encode()).hexdigest())
+"""
+
 # case -> (config, CLI overrides); any other case runs its shipped config as is
 OVERRIDES = {
     f"synthetic_benchmark_{strategy}":
@@ -143,15 +168,29 @@ def _blas() -> tuple[str, str]:
     return blas.get("name", "unknown"), blas.get("version", "unknown")
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_seed0_artifacts_match_recorded_hashes(case, tmp_path):
+def _recorded_blas_env() -> dict:
+    """The environment a recorded hash is checked in: one BLAS thread and the
+    source tree first on the path.  Skips on another BLAS build."""
     name, version = _blas()
     if name != BLAS_NAME or not version.startswith(BLAS_VERSION):
         pytest.skip(f"hashes were recorded with {BLAS_NAME} {BLAS_VERSION}, numpy uses "
                     f"{name} {version}")
     src = os.path.join(ROOT, "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_seed0_stream_decision_log_matches_recorded_hash():
+    env = _recorded_blas_env()
+    run = subprocess.run([sys.executable, "-c", DECISION_LOG_SCRIPT],
+                         env=env, cwd=ROOT, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == STREAM_DECISION_LOG
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_seed0_artifacts_match_recorded_hashes(case, tmp_path):
+    env = _recorded_blas_env()
     config, overrides = OVERRIDES.get(case, (case, []))
     config_path = os.path.join(ROOT, "configs", f"{config}.cfg")
 

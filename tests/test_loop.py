@@ -223,22 +223,73 @@ class TestOracles:
         centroid = pool.normalized_features(sorted(pool.labeled)[:1])[0]
         before = pool_columns(pool)
         calls = []
-        real_label = loop.twin_label
+        real_realize = loop.realize_scenario
 
-        def failing_label(*args):
+        def failing_realize(*args):
+            # the second sample's scenario fails, after the first was realized
             calls.append(args)
             if len(calls) == 2:
                 raise RuntimeError("twin world unreachable")
-            return real_label(*args)
+            return real_realize(*args)
 
-        monkeypatch.setattr(loop, "twin_label", failing_label)
+        monkeypatch.setattr(loop, "realize_scenario", failing_realize)
         with pytest.raises(RuntimeError, match="unreachable"):
             oracle.collect(CollectRegion(centroid, 0.5), 3, iteration=2)
+        assert len(calls) == 2
         assert budget.spent == 0.0
         after = pool_columns(pool)
         assert after.keys() == before.keys()
         assert all(np.array_equal(after[k], before[k], equal_nan=True) for k in before)
         pool.check_invariants()
+
+    def test_twin_collect_labeling_failure_leaves_pool_untouched(self, monkeypatch):
+        from netactive import loop
+        from netactive.acquisition import CollectRegion
+
+        world = small_world()
+        pool = small_pool(world=world)
+        budget = Budget(total=10.0, collection_cost=0.25)
+        oracle = TwinOracle(pool, budget, world, rng_seed=5)
+        centroid = pool.normalized_features(sorted(pool.labeled)[:1])[0]
+        before = pool_columns(pool)
+
+        def failing_labels(*args):
+            raise RuntimeError("twin world unreachable")
+
+        monkeypatch.setattr(loop, "twin_labels", failing_labels)
+        with pytest.raises(RuntimeError, match="unreachable"):
+            oracle.collect(CollectRegion(centroid, 0.5), 3, iteration=2)
+        assert budget.spent == 0.0
+        after = pool_columns(pool)
+        assert all(np.array_equal(after[k], before[k], equal_nan=True) for k in before)
+
+    def test_twin_collect_labels_equal_per_sample_twin_labels(self):
+        # the block's labels, drawn and labeled in one batch, equal labeling
+        # each sample on its own with the draws in the same order
+        from netactive import seeding
+        from netactive.acquisition import CollectRegion
+        from netactive.synth import realize_scenario, twin_label
+
+        world = small_world()
+        pool = small_pool(world=world)
+        oracle = TwinOracle(pool, Budget(total=100.0), world, rng_seed=5)
+        centroid = pool.normalized_features(sorted(pool.labeled)[:1])[0]
+        region = CollectRegion(centroid, 0.7)
+        ids = oracle.collect(region, 9, iteration=1)
+
+        rng = np.random.default_rng(seeding.derive_seed(5, 1))
+        dim = len(centroid)
+        expected = []
+        for _ in ids:
+            direction = rng.standard_normal(dim)
+            direction = direction / np.linalg.norm(direction)
+            offset = direction * region.radius * rng.random() ** (1.0 / dim)
+            raw = pool.normalizer.denormalize(centroid + offset)
+            row = realize_scenario(world, raw, rng)
+            expected.append(twin_label(world, row, int(rng.integers(0, 2**31))))
+        for sid in ids:
+            pool.reveal(sid, 1)
+        assert pool.labels_of(ids).tobytes() == np.array(expected).tobytes()
 
     def test_twin_collect_over_budget_rejected(self):
         from netactive.acquisition import BudgetError, CollectRegion

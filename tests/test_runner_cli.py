@@ -487,9 +487,9 @@ class TestCli:
         cfg = self._write_config(tmp_path, loop="stream", strategies="uncertainty", seeds="0",
                                  stream_window=20, stream_arrivals=100000,
                                  output_dir=str(tmp_path / "out"))
-        assert main(["run", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 1
         assert capsys.readouterr().err == (
-            "error: key 'stream_arrivals': 100000 stream arrivals requested; "
+            "config error: key 'stream_arrivals': 100000 stream arrivals requested; "
             "the pool holds only 154 unlabeled\n")
 
     def test_short_stream_window_exit_code(self, tmp_path, capsys):
