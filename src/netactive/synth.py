@@ -270,14 +270,16 @@ class TwinWorld:
 # per-row evaluation rests on three rules: elementwise arithmetic,
 # comparisons, np.sqrt, np.radians, np.log10, % and argmin run in batch;
 # sin, cos, acos, exp and hypot run per element through `math` (numpy's
-# SIMD versions need not match libm); and the length-2 heading . bearing
-# product stays a BLAS dot per row (np.vecdot), which may fuse.  A random
-# draw rng.normal(loc, scale) is computed as loc + scale * z, with loc kept
-# even when it is 0.0.
+# SIMD versions need not match libm), one call per element mapped straight
+# into a float column by _map; and the length-2 heading . bearing product
+# stays a BLAS dot per row (np.vecdot), which may fuse.  A random draw
+# rng.normal(loc, scale) is computed as loc + scale * z, with loc kept even
+# when it is 0.0.
 
 
-def _map(fn, values: np.ndarray) -> list[float]:
-    return [fn(v) for v in values.tolist()]
+def _map(fn, *columns: np.ndarray) -> np.ndarray:
+    """fn of each element (of each tuple of elements) of the columns, as a float column."""
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, count=len(columns[0]))
 
 
 def _station_geometry(world: TwinWorld, points: np.ndarray):
@@ -332,14 +334,14 @@ def _throughput(world: TwinWorld, features: np.ndarray, noise: np.ndarray) -> np
         to_bs = deltas[rows[far], nearest[far]] / d[far, None]
         cos_angle = np.clip(np.vecdot(heading, to_bs), -1.0, 1.0)
         lobes = world.orientation_lobes
-        lobe = (1.0 - np.array(_map(lambda c: math.cos(lobes * math.acos(c)), cos_angle))) / 2.0
+        lobe = (1.0 - _map(lambda c: math.cos(lobes * math.acos(c)), cos_angle)) / 2.0
         orientation[far] = 1.0 - world.orientation_gain * weight[far] * lobe
 
     attenuation = np.ones(features.shape[0])
     for zone in world.blockage_zones:
         attenuation = np.where(zone.contains(x, y), attenuation * zone.attenuation, attenuation)
 
-    rate = world.peak_rate * np.array(_map(math.exp, -d / world.range_scale))
+    rate = world.peak_rate * _map(math.exp, -d / world.range_scale)
     rate = rate * (mode_factor * attenuation * orientation)
     if world.noise_std > 0.0:
         rate = rate + noise
@@ -392,7 +394,7 @@ def _observe(world: TwinWorld, core: np.ndarray, z: np.ndarray) -> np.ndarray:
     features[:, 9:12] = -20.0 * np.log10(1.0 + true_d) + (0.0 + 2.0 * z[:, 3:6])
     features[:, 12] = np.argmin(true_d, axis=1)
     features[:, 13] = blocked + (0.0 + 0.1 * z[:, 6])
-    features[:, 14] = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    features[:, 14] = _map(math.hypot, x, y)
     for col, degrees in ((15, core[:, 4]), (17, core[:, 5])):
         radians = np.radians(degrees)
         features[:, col] = _map(math.sin, radians)

@@ -286,6 +286,67 @@ class TestDataPool:
         with pytest.raises(ValueError, match="sample 2 is in no partition"):
             DataPool(make_samples(3), labeled={0}, unlabeled={1}, test=set())
 
+    def test_id_repeated_within_one_partition_accepted(self):
+        pool = DataPool(make_samples(4), labeled=[1, 0, 1], unlabeled=[2, 2], test=[3])
+        assert pool.labeled.tolist() == [0, 1] and pool.unlabeled.tolist() == [2]
+
+    def test_id_in_two_partitions_rejected(self):
+        with pytest.raises(AssertionError, match="^labeled/unlabeled/test sets are not disjoint$"):
+            DataPool(make_samples(4), labeled=[0, 1], unlabeled=[2], test=[3, 0])
+
+    def test_unknown_ids_named_sorted_before_overlap(self):
+        # ids -3 and 5 are below and inside the id range but not in the corpus
+        with pytest.raises(AssertionError) as info:
+            DataPool(as_corpus([Sample(i, [1.0], 1.0) for i in (0, 1, 2, 8)]),
+                     labeled=[0, 12, -3, 9], unlabeled=[1, 7, 2**40, 0], test=[5, 2, 5])
+        assert str(info.value) == "partition references unknown ids: [-3, 5, 7, 9, 12]"
+
+    def test_overlap_found_before_orphan(self):
+        with pytest.raises(AssertionError, match="not disjoint"):
+            DataPool(make_samples(4), labeled=[0], unlabeled=[0], test=[3])
+
+    def test_first_orphan_in_corpus_order_named(self):
+        corpus = as_corpus([Sample(i, [float(i)], 1.0) for i in (9, 4, 2, 7)])
+        with pytest.raises(ValueError, match="^sample 4 is in no partition$"):
+            DataPool(corpus, labeled=[9], unlabeled=[7], test=[])
+
+    def test_non_contiguous_ids_build(self):
+        ids = [10, 3, 7, 42, 0]
+        corpus = as_corpus([Sample(i, [float(i), -float(i)], float(i)) for i in ids])
+        pool = DataPool(corpus, labeled={42, 3}, unlabeled=[10, 0], test=[7])
+        assert (pool.labeled.tolist(), pool.unlabeled.tolist(), pool.test.tolist()) == (
+            [3, 42], [0, 10], [7])
+        np.testing.assert_array_equal(pool.feature_matrix(ids), corpus.features)
+        assert sorted(pool.samples) == sorted(ids) and pool.next_id == 43
+        for sid in (1, 5, 41):
+            with pytest.raises(KeyError, match=f"no sample with id {sid}"):
+                pool.feature_matrix([sid])
+
+    def test_one_absent_id_named(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        sid = int(pool.unlabeled[0])
+        np.testing.assert_array_equal(pool.feature_matrix([sid]), pool._features[[sid]])
+        pool.add([25], np.ones((1, 3)), [1.0], "unlabeled", ORIGIN_INGESTED, -1)
+        with pytest.raises(KeyError, match="^'no sample with id 22'$"):
+            pool.feature_matrix([22])
+
+    def test_first_absent_of_many_ids_named_in_given_order(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        pool.add([25], np.ones((1, 3)), [1.0], "unlabeled", ORIGIN_INGESTED, -1)
+        with pytest.raises(KeyError, match="^'no sample with id 23'$"):
+            pool.feature_matrix([3, 25, 23, 21, 22])
+        with pytest.raises(KeyError, match="^'no sample with id 21'$"):
+            pool.acquisitions([0, 1, 21, 23])
+
+    def test_arriving_id_counts_as_absent(self):
+        pool = split_pool(make_samples(20), 0.2, 0.2, rng_seed=0)
+        pool.add([20, 21], np.ones((2, 3)), [1.0, 2.0], "arriving", ORIGIN_COLLECTED, -1)
+        for ids, named in (([21], 21), ([0, 21, 20], 21), ([20, 5], 20)):
+            with pytest.raises(KeyError, match=f"^'no sample with id {named}'$"):
+                pool.feature_matrix(ids)
+        pool.admit(21)
+        np.testing.assert_array_equal(pool.feature_matrix([0, 21]), pool._features[[0, 21]])
+
     def test_non_finite_features_rejected_at_construction(self):
         samples = make_samples(4)
         samples.features[2, 1] = np.nan

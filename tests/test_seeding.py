@@ -98,3 +98,123 @@ def test_derived_generators_draw_as_default_rng(master):
     for i in range(2 * seeding.STATE_BLOCK + 3):
         expected = np.random.default_rng(seeding.derive_seed(master, i, seeding.STREAM_SCORE))
         assert draws(next(generators)) == draws(expected)
+
+
+# numpy's ziggurat draws a standard normal from one 64-bit word r: layer
+# r & 0xff, sign bit r >> 8 & 1 and rabs = r >> 9 & (2**52 - 1).  A PCG64
+# whose state S0 steps to S1 = r (high half 0) outputs r next, since PCG64
+# steps before it outputs rotr64(hi ^ lo, hi >> 58) of the new state.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+INC = 0x5851F42D4C957F2D14057B7EF767814F
+
+
+def crafted_generator(r):
+    """A PCG64 whose next output word is r."""
+    bit_generator = np.random.PCG64(0)
+    state = (r - INC) * pow(PCG_MULT, -1, 2**128) % 2**128
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": INC},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def crafted_draw(r):
+    """The normal numpy draws from first word r, and whether it took one step."""
+    bit_generator = crafted_generator(r)
+    z = np.random.Generator(bit_generator).standard_normal()
+    return z, bit_generator.state["state"]["state"] == r
+
+
+def word(layer, rabs, sign=0):
+    return layer | sign << 8 | rabs << 9
+
+
+def test_crafted_state_outputs_chosen_word():
+    r = word(37, 12345, sign=1)
+    assert int(crafted_generator(r).random_raw()) == r
+
+
+def test_ziggurat_tables_match_numpy():
+    wi, ki = seeding._ZIGGURAT_WI, seeding._ZIGGURAT_KI
+    assert wi.shape == ki.shape == (256,) and ki[1] == 0  # layer 1 always leaves the fast path
+    for layer in range(256):
+        # rabs = 1 draws wi itself (layer 1's wedge test accepts so small a normal)
+        z, _ = crafted_draw(word(layer, 1))
+        assert np.float64(z).tobytes() == wi[layer].tobytes(), layer
+        z, _ = crafted_draw(word(layer, 1, sign=1))
+        assert np.float64(z).tobytes() == (-wi[layer]).tobytes(), layer
+        if layer != 1:
+            # the fast path takes rabs < ki and nothing above
+            limit = int(ki[layer])
+            assert 0 < limit < 2**52
+            assert crafted_draw(word(layer, limit - 1))[1], layer
+            assert not crafted_draw(word(layer, limit))[1], layer
+    assert not crafted_draw(word(1, 0))[1]
+
+
+@pytest.fixture
+def reseed_calls(monkeypatch):
+    """A list that gets one entry per seeding.reseed call."""
+    calls = []
+    real = seeding.reseed
+    monkeypatch.setattr(seeding, "reseed", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_fast_path_ends_at_ki(monkeypatch, reseed_calls):
+    # words with rabs = ki - 1 take the fast path, rabs = ki and layer 1 do not
+    ki = seeding._ZIGGURAT_KI
+    layers = [layer for layer in range(256) if layer != 1]
+    fast = [word(layer, int(ki[layer]) - 1, sign=layer % 2) for layer in layers]
+    words = np.array(fast + [word(layer, int(ki[layer])) for layer in layers] + [word(1, 0)],
+                     np.uint64)
+    monkeypatch.setattr(seeding, "_first_words", lambda states: words)
+    z = seeding.seeded_normals(range(len(words)), 1.0)
+    assert len(reseed_calls) == len(layers) + 1
+    expected = np.array([crafted_draw(r)[0] for r in fast])
+    assert z[:len(fast)].tobytes() == expected.tobytes()
+
+
+def first_draw_steps(seed):
+    """How many words default_rng(seed)'s first normal takes, and its first word."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal()
+    after = rng.bit_generator.state["state"]["state"]
+    reference = np.random.default_rng(seed).bit_generator
+    first = int(reference.random_raw())
+    steps = 1
+    while reference.state["state"]["state"] != after:
+        reference.random_raw()
+        steps += 1
+    return steps, first
+
+
+def slow_branch(seed):
+    """The ziggurat branch of default_rng(seed)'s first normal: "fast", "tail"
+    (layer 0), "wedge_accept" (two words) or "wedge_reject" (a redraw)."""
+    steps, first = first_draw_steps(seed)
+    if steps == 1:
+        return "fast"
+    if first & 0xFF == 0:
+        return "tail"
+    return "wedge_accept" if steps == 2 else "wedge_reject"
+
+
+@pytest.mark.parametrize("branch", ["tail", "wedge_accept", "wedge_reject"])
+def test_slow_branch_seeds_match_numpy(branch):
+    found = [s for s in range(5000) if slow_branch(s) == branch][:5]
+    assert found, branch
+    for scale in (50.0, 0.3):
+        expected = np.array([np.random.default_rng(s).normal(0.0, scale) for s in found])
+        assert seeding.seeded_normals(found, scale).tobytes() == expected.tobytes()
+        # and among fast-path seeds, in one batch
+        mixed = list(range(40)) + found
+        expected = np.array([np.random.default_rng(s).normal(0.0, scale) for s in mixed])
+        assert seeding.seeded_normals(mixed, scale).tobytes() == expected.tobytes()
+
+
+def test_only_slow_path_seeds_are_reseeded(reseed_calls):
+    seeds = random_seeds()
+    slow = sum(first_draw_steps(s)[0] > 1 for s in seeds)
+    assert 0 < slow < len(seeds) // 20
+    seeding.seeded_normals(seeds, 50.0)
+    assert len(reseed_calls) == slow
